@@ -331,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="elimination ordering policy (isam2 supports "
                             "chronological/constrained_colamd)")
     solve.add_argument("--workers", type=int, default=None,
-                       help="thread-pool size for parallel factorization "
-                            "(bit-identical to serial; 0 = one per CPU, "
-                            "default reads REPRO_WORKERS)")
+                       help="thread-pool size for the level-scheduled "
+                            "factorization (bit-identical at every count; "
+                            "0 = one per CPU, default reads REPRO_WORKERS)")
     solve.add_argument("--out", dest="output")
     solve.set_defaults(func=cmd_solve)
 
@@ -358,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="registered adaptive budget controller "
                           "(accelerated platforms only)")
     sim.add_argument("--workers", type=int, default=None,
-                     help="thread-pool size for parallel numeric "
-                          "execution (bit-identical to serial; 0 = one "
-                          "per CPU, default reads REPRO_WORKERS)")
+                     help="thread-pool size for level-scheduled numeric "
+                          "execution (bit-identical at every count; 0 = "
+                          "one per CPU, default reads REPRO_WORKERS)")
     sim.set_defaults(func=cmd_simulate)
 
     tune = sub.add_parser(

@@ -28,7 +28,6 @@ from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
 from repro.hardware.power import PowerModel
 from repro.instrumentation import StepContext
-from repro.linalg.trace import OpTrace
 from repro.policy import (
     BudgetController,
     SelectionContext,
@@ -199,11 +198,10 @@ class RAISAM2:
 
     def update(self, new_values: Dict[Key, object],
                new_factors: Sequence[Factor],
-               trace: Optional[OpTrace] = None,
                context: Optional[StepContext] = None) -> StepReport:
         """One resource-aware backend step."""
         self._step += 1
-        ctx = context if context is not None else StepContext(trace)
+        ctx = context if context is not None else StepContext()
         plan = self.plan_selection(new_factors)
         info = self.engine.update(new_values, new_factors, plan.selected,
                                   context=ctx)

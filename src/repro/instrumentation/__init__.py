@@ -1,7 +1,7 @@
 """Uniform per-step instrumentation for every backend solver.
 
-Replaces the ad-hoc ``trace=None`` threading: a :class:`StepContext`
-always exists for a step (null-cost when tracing is disabled), carries
+A :class:`StepContext` is the one way a step's trace reaches a solver:
+it always exists for a step (null-cost when tracing is disabled), carries
 the :class:`~repro.linalg.trace.OpTrace`, the per-phase work counters
 (relinearization / symbolic / numeric / back-substitution) and solver
 extras, and builds the :class:`~repro.solvers.base.StepReport` the same

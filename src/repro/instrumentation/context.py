@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.linalg.trace import NodeTrace, OpTrace
 
 if TYPE_CHECKING:  # solvers.base imports stay lazy: solvers import us
+    from repro.linalg.parallel import LevelStats
     from repro.solvers.base import ParentMap, StepReport
 
 
@@ -14,10 +15,11 @@ class StepContext:
     """Everything measured while one backend step executes.
 
     Created once per step (by :class:`~repro.pipeline.BackendPipeline`,
-    or implicitly by a solver called with the legacy ``trace=`` keyword)
-    and threaded through every phase.  When ``trace`` is None the context
-    still exists — the counters are plain int adds and :meth:`node`
-    returns None, so the disabled path stays null-cost.
+    the serving fleet, or a caller passing ``context=StepContext(trace)``
+    to a solver's ``update``; a solver called without one creates an
+    untraced context) and threaded through every phase.  When ``trace``
+    is None the context still exists — the counters are plain int adds
+    and :meth:`node` returns None, so the disabled path stays null-cost.
 
     Counters
     --------
@@ -41,7 +43,8 @@ class StepContext:
     ``parallel_nodes`` / ``parallel_levels``
         Supernode fronts dispatched to the shared thread pool this step
         and the number of multi-node dependency levels they spanned
-        (zero on the serial path; see :mod:`repro.linalg.parallel`).
+        (zero with one worker, where every level runs inline; see
+        :mod:`repro.linalg.parallel`).
     ``parallel_task_seconds`` / ``parallel_wall_seconds``
         Summed per-task wall time vs. elapsed time of the dispatched
         levels; their ratio is the achieved concurrency reported as the
@@ -83,6 +86,13 @@ class StepContext:
     def enabled(self) -> bool:
         """Whether op tracing is active for this step."""
         return self.trace is not None
+
+    def add_level_stats(self, stats: "LevelStats") -> None:
+        """Fold one phase's pool-dispatch statistics into the step."""
+        self.parallel_nodes += stats.nodes
+        self.parallel_levels += stats.levels
+        self.parallel_task_seconds += stats.task_seconds
+        self.parallel_wall_seconds += stats.wall_seconds
 
     def node(self, node_id: int, cols: int = 0,
              rows_below: int = 0) -> Optional[NodeTrace]:

@@ -29,6 +29,7 @@ from repro.linalg.parallel import (
 from repro.linalg.plan import (
     PlanCache,
     compile_node_plan,
+    flatten_rhs,
     node_signature,
     plans_equal,
     tree_solve,
@@ -85,9 +86,10 @@ class MultifrontalCholesky:
     damping:
         Optional Levenberg-style diagonal damping added to H.
     workers:
-        Thread-pool size for level-scheduled parallel factorize/solve
-        (bit-identical to serial; see :mod:`repro.linalg.parallel`).
-        ``None`` reads ``REPRO_WORKERS`` (default 1 = serial).
+        Thread-pool size for the level-scheduled factorize (see
+        :mod:`repro.linalg.parallel`); results are bit-identical at
+        every count.  ``1`` runs each level inline; ``None`` reads
+        ``REPRO_WORKERS`` (default 1).
     """
 
     def __init__(self, symbolic: SymbolicFactorization, damping: float = 0.0,
@@ -124,11 +126,11 @@ class MultifrontalCholesky:
         # across solver instances (same symbolic) shares the compiles.
         self._plans = plan_cache if plan_cache is not None else PlanCache()
         self._executor = ParallelStepExecutor(workers)
-        self.workers = self._executor.workers
-        self._parents = {
-            sid: (node.parent if node.parent != -1 else None)
-            for sid, node in enumerate(symbolic.supernodes)}
-        #: Dispatch statistics accumulated across parallel factorizations
+        self._levels = levels_from_parents(
+            symbolic.node_order(),
+            {sid: (node.parent if node.parent != -1 else None)
+             for sid, node in enumerate(symbolic.supernodes)})
+        #: Pool-dispatch statistics accumulated across factorizations
         #: (see :class:`repro.linalg.parallel.LevelStats`).
         self.level_stats = LevelStats()
 
@@ -155,7 +157,15 @@ class MultifrontalCholesky:
         contributions: Sequence[FactorContribution],
         trace: Optional[OpTrace] = None,
     ) -> None:
-        """Assemble and factorize all supernodes bottom-up."""
+        """Assemble and factorize all supernodes bottom-up.
+
+        Plan resolution and trace-node creation run on the main thread
+        in ``node_order()``, so plan-cache traffic and trace insertion
+        order are the same at every worker count.  Each dependency
+        level's ``factorize_node`` calls — their child updates gathered
+        in the node's child order — then go through one
+        :meth:`~repro.linalg.parallel.ParallelStepExecutor.run_level`.
+        """
         symbolic = self.symbolic
         node_factors: Dict[int, List[int]] = {}
         for ci, contrib in enumerate(contributions):
@@ -170,63 +180,25 @@ class MultifrontalCholesky:
 
         aud = current_auditor()
         executor = self._executor
-        order = symbolic.node_order()
-        if executor.workers > 1 and len(order) > 1:
-            self._factorize_parallel(order, node_factors, contributions,
-                                     aud, trace)
-            return
-        updates: Dict[int, np.ndarray] = {}
-        for sid in order:
-            node = symbolic.supernodes[sid]
-            assigned = node_factors.get(sid, ())
-            plan = self._plan_for(sid, node, assigned, contributions, aud)
-            node_trace = (trace.node(sid, cols=plan.m,
+        plans = []
+        traces = []
+        for sid, node in enumerate(symbolic.supernodes):
+            plan = self._plan_for(sid, node, node_factors.get(sid, ()),
+                                  contributions, aud)
+            plans.append(plan)
+            traces.append(trace.node(sid, cols=plan.m,
                                      rows_below=plan.front_size - plan.m)
                           if trace is not None else None)
-            l_a, l_b, c_update = executor.factorize_node(
-                plan, [contributions[ci].hessian for ci in assigned],
-                [updates.pop(child) for child in node.children],
-                self.damping, node_trace)
-            self._l_a[sid] = l_a
-            self._l_b[sid] = l_b
-            if node.parent != -1:
-                updates[sid] = c_update
-
-    def _factorize_parallel(self, order, node_factors, contributions,
-                            aud, trace) -> None:
-        """Level-scheduled twin of the serial factorize loop.
-
-        Plan resolution and trace-node creation run serially in
-        ``node_order()`` first (so plan-cache traffic and trace insertion
-        order match the serial path), then each dependency level's pure
-        ``factorize_node`` calls — whose child updates are gathered on
-        the main thread in the node's child order — fan out onto the
-        shared pool.  Bit-identical to serial: the per-front kernel sees
-        exactly the serial inputs in the serial reduction order.
-        """
-        symbolic = self.symbolic
-        executor = self._executor
-        plans: Dict[int, tuple] = {}
-        traces: Dict[int, object] = {}
-        for sid in order:
-            node = symbolic.supernodes[sid]
-            assigned = node_factors.get(sid, ())
-            plans[sid] = (self._plan_for(sid, node, assigned,
-                                         contributions, aud), assigned)
-            plan = plans[sid][0]
-            traces[sid] = (trace.node(sid, cols=plan.m,
-                                      rows_below=plan.front_size - plan.m)
-                           if trace is not None else None)
         updates: Dict[int, np.ndarray] = {}
-        for level in levels_from_parents(order, self._parents):
+        for level in self._levels:
             tasks = []
             priorities = []
             for sid in level:
-                node = symbolic.supernodes[sid]
-                plan, assigned = plans[sid]
-                hessians = [contributions[ci].hessian for ci in assigned]
-                child_updates = [updates.pop(child)
-                                 for child in node.children]
+                plan = plans[sid]
+                hessians = [contributions[ci].hessian
+                            for ci in node_factors.get(sid, ())]
+                children = symbolic.supernodes[sid].children
+                child_updates = [updates.pop(child) for child in children]
                 tasks.append(
                     lambda p=plan, h=hessians, c=child_updates,
                     t=traces[sid]:
@@ -294,12 +266,11 @@ class MultifrontalCholesky:
 
         ``rhs_blocks`` holds one vector per elimination position; returns
         the solution in the same layout.  Requires a prior
-        :meth:`factorize`.
+        :meth:`factorize`.  Raises ``ValueError`` when a block is
+        missing, extra or of the wrong size.
         """
-        flat = (np.concatenate([np.asarray(r, dtype=float)
-                                for r in rhs_blocks])
-                if len(rhs_blocks) else np.zeros(0))
-        return self._solve_flat(flat, trace)
+        return self._solve_flat(
+            flatten_rhs(rhs_blocks, self.symbolic.dims), trace)
 
     def _solve_flat(self, rhs_flat: np.ndarray,
                     trace: Optional[OpTrace] = None) -> List[np.ndarray]:
@@ -310,8 +281,7 @@ class MultifrontalCholesky:
              self._row_idx[sid]
              if symbolic.supernodes[sid].row_pattern else None)
             for sid in symbolic.node_order()]
-        x_flat = tree_solve(entries, rhs_flat, self._total, trace,
-                            workers=self.workers, parents=self._parents)
+        x_flat = tree_solve(entries, rhs_flat, self._total, trace)
         return [x_flat[off[p]:off[p + 1]] for p in range(symbolic.n)]
 
     def dense_l(self) -> np.ndarray:

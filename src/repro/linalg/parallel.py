@@ -1,38 +1,43 @@
-"""Level-scheduled parallel numeric execution over the elimination tree.
+"""Level-scheduled numeric execution over the elimination tree.
 
 The paper's Fig. 3 attributes most backend numeric time to POTRF / TRSM /
 SYRK on *independent* elimination-tree fronts, and the constrained-COLAMD
 ordering produces the bushy trees (many nodes per depth level) that make
-inter-node parallelism real.  This module adds the software analogue of
-the runtime's inter-node scheduling to the plan/execute split: a
-list-scheduler that buckets supernodes into dependency *levels* (all
-children strictly below their parent) and dispatches each level's
-independent fronts onto a shared :class:`ThreadPoolExecutor`.  Python
-threads suffice because numpy/LAPACK release the GIL inside the dense
-kernels that dominate (``cholesky``/``trtrs``/matmul), so large fronts
-genuinely overlap.
+inter-node parallelism real.  This module is the software analogue of
+the runtime's ready-node scheduler (Algorithm 2): supernodes are
+bucketed into dependency *levels* (all children strictly below their
+parent) and each level's independent fronts go through one
+:meth:`ParallelStepExecutor.run_level` call.  It is the only numeric
+driver of the refactorize, wildfire back-substitution and batch
+factorize phases, at every worker count: with one worker ``run_level``
+runs the level inline, in task order, with no pool and no lock; with
+more it fans the level out onto a shared :class:`ThreadPoolExecutor`.
+Python threads suffice because numpy/LAPACK release the GIL inside the
+dense kernels that dominate (``cholesky``/``trtrs``/matmul), so large
+fronts genuinely overlap.
 
 Bit-identity contract
 ---------------------
-Every parallel mode built on this module is bit-identical to its serial
-path (atol 0 on deltas, factors and traces).  Three rules make that hold:
+Results are bit-identical at every worker count (atol 0 on deltas,
+factors and traces).  Three rules make that hold:
 
 * **Deterministic reduction order.**  Each node's inputs (children's
   ``C_update`` matrices, factor Hessians) are gathered *on the main
   thread in plan assembly order* before dispatch; workers only run the
   pure per-front kernel.  Nothing is ever reduced in completion order.
-* **Serial float-accumulation phases stay serial.**  Accumulations whose
-  order spans subtrees — the engine's rhs/carry scatter in head order,
-  the forward sweep's ``carry`` — are either executed serially after the
-  level barrier or rebuilt per level in entries order, reproducing the
-  serial left-to-right add order per cell exactly.
-* **Canonical trace order.**  Per-node traces are pre-created (or
-  merged) on the main thread in the serial path's node order, so
-  ``OpTrace`` insertion order — which feeds the left-to-right float sum
-  in ``sequential_cycles`` — is byte-identical.
+* **Cross-subtree accumulations stay serial.**  The engine's forward
+  sweep and rhs/carry scatter run on the main thread in head order
+  after the level barrier, and the triangular sweeps of
+  :func:`repro.linalg.plan.tree_solve` are not level-scheduled at all.
+* **Canonical trace order.**  Per-node traces are created on the main
+  thread in head order before dispatch (refactorize, batch factorize)
+  or recorded detached and adopted afterwards in descending
+  last-position order (back-substitution), so ``OpTrace`` insertion
+  order — which feeds the left-to-right float sum in
+  ``sequential_cycles`` — is the same at every worker count.
 
 ``workers`` resolution: ``None`` reads ``REPRO_WORKERS`` (default 1 =
-serial), ``<= 0`` means one worker per CPU.
+inline), ``<= 0`` means one worker per CPU.
 """
 
 from __future__ import annotations
@@ -43,18 +48,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.linalg.frontal import solve_lower_triangular
 from repro.linalg.plan import StepExecutor
-from repro.linalg.trace import OpKind, OpTrace
 
 
 def default_workers() -> int:
     """Worker count from the ``REPRO_WORKERS`` environment variable.
 
-    Lets CI (or a user) flip every solver into parallel mode without
-    touching call sites; unset or empty means 1 (serial).
+    Lets a user give every solver a thread pool without touching call
+    sites; unset or empty means 1 (inline dispatch).
     """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if not raw:
@@ -129,10 +130,10 @@ def levels_from_parents(ordered_ids: Sequence[int],
 
 
 class LevelStats:
-    """Accumulated dispatch statistics of one step's parallel phases.
+    """Accumulated pool-dispatch statistics of one step's levels.
 
     ``nodes``/``levels`` count fronts actually dispatched to the pool
-    (levels of width 1 run inline and don't count); ``task_seconds`` is
+    (inline levels don't count); ``task_seconds`` is
     the summed per-task wall time and ``wall_seconds`` the elapsed time
     of the dispatched levels, so ``task_seconds / wall_seconds`` is the
     achieved concurrency (the ``wall_speedup`` report extra).
@@ -148,14 +149,13 @@ class LevelStats:
 
 
 class ParallelStepExecutor(StepExecutor):
-    """A :class:`StepExecutor` that can fan independent fronts out onto
-    the shared thread pool.
+    """A :class:`StepExecutor` that runs one dependency level at a time.
 
     The per-node kernels (``factorize_node`` / ``forward_update`` /
-    ``backsolve_node``) are inherited unchanged — parallelism lives
-    entirely in *which* calls run concurrently, decided by the callers'
-    level schedules, so ``workers=1`` degenerates to the serial
-    executor with zero overhead.
+    ``backsolve_node``) are inherited unchanged.  Callers build level
+    schedules and hand every level to :meth:`run_level`, the one place
+    that decides between inline and pooled execution; with
+    ``workers=1`` every level runs inline.
     """
 
     __slots__ = ("workers",)
@@ -180,8 +180,9 @@ class ParallelStepExecutor(StepExecutor):
         any caller's output.  A raising task propagates the earliest
         exception in task order — after every task of the level has
         finished, so no worker ever races a caller's post-barrier
-        reduction.  Levels of width <= 1 (or a serial executor) run
-        inline, in task order.
+        reduction.  Levels of width <= 1, and every level of a
+        one-worker executor, run inline in task order, never touching
+        the pool or ``stats``.
         """
         if self.workers <= 1 or len(tasks) <= 1:
             return [task() for task in tasks]
@@ -219,110 +220,3 @@ def _timed_call(task: Callable[[], object]) -> Tuple[object, float]:
     start = time.perf_counter()
     out = task()
     return out, time.perf_counter() - start
-
-
-def parallel_tree_solve(
-    entries: Sequence[tuple],
-    rhs_flat: np.ndarray,
-    total: int,
-    trace: Optional[OpTrace],
-    executor: ParallelStepExecutor,
-    parents: Dict[int, Optional[int]],
-    stats: Optional[LevelStats] = None,
-) -> np.ndarray:
-    """Level-scheduled twin of :func:`repro.linalg.plan.tree_solve`.
-
-    Bit-identical to the serial sweeps:
-
-    * Forward: the ``carry`` vector is rebuilt before each level by
-      re-applying every completed node's spread *in entries order*, so
-      each cell accumulates its descendants' contributions in exactly
-      the serial left-to-right order (level-major application would
-      invert cross-subtree add order and drift in the last ulp).
-    * Backward: levels run top-down; a node only reads its ancestors'
-      finished ``x`` slices and writes its own disjoint slice, so the
-      sweep is naturally exact under the level barrier.
-    * Traces: per-node traces are pre-created in entries order (the
-      serial creation order) and each node is recorded by exactly one
-      task per sweep.
-
-    Within each level, tasks are submitted largest-front-first
-    (``l_a.size + l_b.size`` as the cost proxy) so the level's
-    straggler starts earliest; see :meth:`ParallelStepExecutor.run_level`.
-    """
-    order = [entry[0] for entry in entries]
-    index_of = {sid: i for i, sid in enumerate(order)}
-    levels = levels_from_parents(order, parents)
-    node_traces = [trace.node(sid) if trace is not None else None
-                   for sid in order]
-
-    def _cost(i: int) -> float:
-        _sid, l_a, l_b, _own, _row = entries[i]
-        return float(l_a.size + (l_b.size if l_b is not None else 0))
-
-    carry = np.zeros(total)
-    ys: List[Optional[np.ndarray]] = [None] * len(entries)
-    spreads: List[Optional[np.ndarray]] = [None] * len(entries)
-    completed: List[int] = []
-    for level in levels:
-        if completed:
-            # Rebuild the carry in entries order over all completed
-            # spreads: per-cell float accumulation order == serial.
-            carry[:] = 0.0
-            for i in sorted(completed):
-                if spreads[i] is not None:
-                    carry[entries[i][4]] += spreads[i]
-        tasks = []
-        priorities = []
-        for sid in level:
-            i = index_of[sid]
-            tasks.append(lambda i=i: _forward_task(
-                entries[i], rhs_flat, carry, node_traces[i]))
-            priorities.append(_cost(i))
-        results = executor.run_level(tasks, stats, priorities)
-        for sid, (y, spread) in zip(level, results):
-            i = index_of[sid]
-            ys[i] = y
-            spreads[i] = spread
-            completed.append(i)
-
-    x_flat = np.zeros(total)
-    for level in reversed(levels):
-        tasks = []
-        priorities = []
-        for sid in level:
-            i = index_of[sid]
-            tasks.append(lambda i=i: _backward_task(
-                entries[i], ys[i], x_flat, node_traces[i]))
-            priorities.append(_cost(i))
-        executor.run_level(tasks, stats, priorities)
-    return x_flat
-
-
-def _forward_task(entry, rhs_flat, carry, node_trace):
-    _sid, l_a, l_b, own_idx, row_idx = entry
-    local = rhs_flat[own_idx] - carry[own_idx]
-    y = solve_lower_triangular(l_a, local)
-    if node_trace is not None:
-        node_trace.record(OpKind.TRSV, y.size)
-    spread = None
-    if row_idx is not None:
-        spread = l_b @ y
-        if node_trace is not None:
-            node_trace.record(OpKind.GEMV, spread.size, y.size)
-    return y, spread
-
-
-def _backward_task(entry, y, x_flat, node_trace):
-    _sid, l_a, l_b, own_idx, row_idx = entry
-    local = y
-    if row_idx is not None:
-        above = x_flat[row_idx]
-        local = local - l_b.T @ above
-        if node_trace is not None:
-            node_trace.record(OpKind.GEMV, y.size, above.size)
-    x = solve_lower_triangular(l_a, local, trans=1)
-    if node_trace is not None:
-        node_trace.record(OpKind.TRSV, y.size)
-    x_flat[own_idx] = x
-    return None

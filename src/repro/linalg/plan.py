@@ -491,14 +491,35 @@ class StepExecutor:
         return x
 
 
+def flatten_rhs(blocks: Sequence[np.ndarray],
+                dims: Sequence[int]) -> np.ndarray:
+    """Concatenate one right-hand-side block per elimination position.
+
+    Raises ``ValueError`` naming the first position whose block is
+    missing, extra, or not a vector of that position's dimension.
+    """
+    for p in range(max(len(blocks), len(dims))):
+        if p >= len(dims):
+            raise ValueError(f"rhs has an extra block at position {p}: "
+                             f"the problem has {len(dims)} positions")
+        if p >= len(blocks):
+            raise ValueError(f"rhs is missing the block at position {p}: "
+                             f"the problem has {len(dims)} positions")
+        shape = np.shape(blocks[p])
+        if shape != (dims[p],):
+            raise ValueError(f"rhs block at position {p} has shape "
+                             f"{shape}, expected ({dims[p]},)")
+    if not dims:
+        return np.zeros(0)
+    return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
+
+
 def tree_solve(
     entries: Sequence[Tuple[int, np.ndarray, np.ndarray,
                             np.ndarray, Optional[np.ndarray]]],
     rhs_flat: np.ndarray,
     total: int,
     trace: Optional[OpTrace] = None,
-    workers: int = 1,
-    parents: Optional[Dict[int, Optional[int]]] = None,
 ) -> np.ndarray:
     """Two triangular sweeps (``L y = b``, ``L^T x = y``) over a tree.
 
@@ -507,18 +528,11 @@ def tree_solve(
     one shared implementation behind ``IncrementalEngine.solve_with_rhs``
     and ``MultifrontalCholesky.solve``/``solve_vector``.
 
-    With ``workers > 1`` and a ``parents`` map (sid -> parent sid or
-    None), independent subtrees are swept level-parallel on the shared
-    thread pool — bit-identical to the serial sweeps, see
-    :mod:`repro.linalg.parallel`.
+    The sweeps stay serial.  The forward ``carry`` must add spreads in
+    entry order, so a level-scheduled sweep has to rebuild it from every
+    finished spread before each level — work that grows with tree
+    height times node count and outweighs what the threads save.
     """
-    if workers > 1 and parents is not None and len(entries) > 1:
-        from repro.linalg.parallel import (
-            ParallelStepExecutor,
-            parallel_tree_solve,
-        )
-        return parallel_tree_solve(entries, rhs_flat, total, trace,
-                                   ParallelStepExecutor(workers), parents)
     carry = np.zeros(total)
     ys: List[np.ndarray] = []
     for sid, l_a, l_b, own_idx, row_idx in entries:

@@ -492,11 +492,12 @@ class OpTrace:
         return trace
 
     def adopt(self, trace: NodeTrace) -> None:
-        """Merge a detached :class:`NodeTrace` recorded off the main
-        thread: append its ops when the node already exists, else
-        install it as-is.  Callers adopt in the serial path's node
-        order, preserving the insertion order the float-order-sensitive
-        consumers (``sequential_cycles``) depend on."""
+        """Merge a detached :class:`NodeTrace` recorded by a level task
+        (inline or on a pool thread): append its ops when the node
+        already exists, else install it as-is.  Callers adopt in a fixed node order (the
+        engine's back-substitution: descending last position), so the
+        insertion order the float-order-sensitive consumers
+        (``sequential_cycles``) depend on never varies with dispatch."""
         existing = self.nodes.get(trace.node_id)
         if existing is None:
             self.nodes[trace.node_id] = trace

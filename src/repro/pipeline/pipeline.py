@@ -137,7 +137,8 @@ class BackendPipeline:
     ----------
     solver:
         Any object with ``update(new_values, new_factors, context=...)``
-        (or the legacy ``trace=`` keyword) and ``estimate()``.
+        and ``estimate()``; the step's op trace travels on the
+        :class:`~repro.instrumentation.StepContext`.
     stages:
         :class:`PipelineStage` hooks run in order after each step.
     collect_traces:

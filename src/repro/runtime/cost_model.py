@@ -22,9 +22,11 @@ def synthesize_node_ops(m: int, n_below: int, num_factors: int,
                         residual_dim: int = 3) -> NodeTrace:
     """Build the op sequence of a supernode with the given dimensions.
 
-    Mirrors ``IncrementalEngine._refactorize``: workspace memset, per-
-    factor Hessian construction (prefetch + small GEMM + scatter), child
-    merge scatter, partial factorization, copy-out, and the solve sweep.
+    Mirrors the ops one refactorized supernode records
+    (``StepExecutor.factorize_node`` then ``forward_update``): workspace
+    memset, per-factor Hessian construction (prefetch + small GEMM +
+    scatter), child merge scatter, partial factorization, copy-out, and
+    the solve sweep.
     """
     front = m + n_below
     trace = NodeTrace(node_id=-1, cols=m, rows_below=n_below)

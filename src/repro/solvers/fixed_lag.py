@@ -23,7 +23,6 @@ from repro.instrumentation import StepContext
 from repro.linalg.cholesky import MultifrontalCholesky
 from repro.linalg.ordering import OrderingSpec, make_ordering_policy
 from repro.linalg.symbolic import SymbolicFactorization
-from repro.linalg.trace import OpTrace
 from repro.solvers.base import StepReport
 from repro.solvers.batch_linearize import linearize_many
 from repro.state import BlockVector
@@ -134,8 +133,9 @@ class FixedLagSmoother:
         An :class:`~repro.linalg.ordering.OrderingPolicy` name or
         instance for the per-step window solve (default chronological).
     workers:
-        Thread-pool size for level-scheduled parallel factorization
-        (bit-identical to serial; ``None`` reads ``REPRO_WORKERS``).
+        Thread-pool size for the level-scheduled factorization
+        (bit-identical at every count, ``1`` runs levels inline;
+        ``None`` reads ``REPRO_WORKERS``).
     """
 
     def __init__(self, window: int = 20, iterations: int = 2,
@@ -156,11 +156,10 @@ class FixedLagSmoother:
 
     def update(self, new_values: Dict[Key, object],
                new_factors: Sequence[Factor],
-               trace: Optional[OpTrace] = None,
                context: Optional[StepContext] = None) -> StepReport:
         """Process one timestep: insert, optimize window, marginalize."""
         self._step += 1
-        ctx = context if context is not None else StepContext(trace)
+        ctx = context if context is not None else StepContext()
         for key in sorted(new_values.keys()):
             self.values.insert(key, new_values[key])
             self._active.append(key)
@@ -214,11 +213,7 @@ class FixedLagSmoother:
         ctx.plan_hits += hits
         ctx.plan_misses += misses
         ctx.plan_compiles += compiles
-        stats = solver.level_stats  # fresh solver: step-local counts
-        ctx.parallel_nodes += stats.nodes
-        ctx.parallel_levels += stats.levels
-        ctx.parallel_task_seconds += stats.task_seconds
-        ctx.parallel_wall_seconds += stats.wall_seconds
+        ctx.add_level_stats(solver.level_stats)  # fresh solver: step-local
 
     def _marginalize_oldest(self) -> None:
         key = self._active.pop(0)

@@ -81,12 +81,13 @@ from repro.linalg.plan import (
     PlanCache,
     Signature,
     compile_node_plan,
+    flatten_rhs,
     fold_hash,
     plans_equal,
     reindexed_plan,
     tree_solve,
 )
-from repro.linalg.trace import NodeTrace, OpTrace
+from repro.linalg.trace import NodeTrace
 from repro.policy.selection import make_selection_policy
 from repro.solvers.base import StepReport
 from repro.solvers.batch_linearize import (
@@ -134,6 +135,13 @@ class _Node:
         self.pos_starts: Optional[np.ndarray] = None
 
 
+def _level_extent(levels: List[List[_Node]]) -> Tuple[float, float]:
+    """(height, max width) of a tree's depth levels; zeros when empty."""
+    if not levels:
+        return 0.0, 0.0
+    return float(len(levels) - 1), float(max(map(len, levels)))
+
+
 class IncrementalEngine:
     """Incrementally maintained supernodal factorization of a factor graph.
 
@@ -155,10 +163,10 @@ class IncrementalEngine:
         ``reorder_interval`` steps, and only when the affected suffix
         spans at least ``reorder_min_suffix`` positions.
     workers:
-        Thread-pool size for level-scheduled parallel execution of the
-        refactorize / back-substitution / marginal-solve phases (see
-        :mod:`repro.linalg.parallel`); bit-identical to the serial
-        path.  ``None`` reads ``REPRO_WORKERS`` (default 1 = serial).
+        Thread-pool size for the level-scheduled refactorize and
+        back-substitution phases (see :mod:`repro.linalg.parallel`);
+        results are bit-identical at every count.  ``1`` runs each
+        level inline; ``None`` reads ``REPRO_WORKERS`` (default 1).
     plan_cache:
         External :class:`~repro.linalg.plan.PlanCache` to use instead of
         a private one — the serving fleet shares a single cache across
@@ -218,7 +226,6 @@ class IncrementalEngine:
 
         self._plans = plan_cache if plan_cache is not None else PlanCache()
         self._executor = ParallelStepExecutor(workers)
-        self.workers = self._executor.workers
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -238,7 +245,6 @@ class IncrementalEngine:
     def set_executor(self, executor: ParallelStepExecutor) -> None:
         """Swap in an external (possibly shared) step executor."""
         self._executor = executor
-        self.workers = executor.workers
 
     # ------------------------------------------------------------------
     # public API
@@ -287,7 +293,6 @@ class IncrementalEngine:
         new_values: Dict[Key, object],
         new_factors: Sequence[Factor],
         relin_keys: Iterable[Key] = (),
-        trace: Optional[OpTrace] = None,
         context: Optional[StepContext] = None,
     ) -> Dict[str, object]:
         """One incremental step.
@@ -296,15 +301,15 @@ class IncrementalEngine:
         their linearization point to the current estimate), refactorizes
         the affected part of the tree and re-solves.  Returns work counters
         plus the set of refactored supernode ids.  Phase counters and the
-        op trace accumulate on ``context`` (one is created from the legacy
-        ``trace`` argument when not supplied).
+        op trace (``context.trace``) accumulate on ``context``; without
+        one the step runs untraced.
 
         Written over the split-phase :class:`PendingStep` protocol (the
         serving fleet drives the same phases with its linearization and
         level scheduling fused across sessions), executing each phase
         immediately — bit-identical to the historical inline loop.
         """
-        ctx = context if context is not None else StepContext(trace)
+        ctx = context if context is not None else StepContext()
         pending = self.update_begin(new_values, new_factors, ctx)
         request = pending.ingest_request()
         if request is not None:
@@ -331,7 +336,7 @@ class IncrementalEngine:
         Returns the :class:`PendingStep` whose remaining phases the
         caller must drive in protocol order (see its docstring).
         """
-        ctx = context if context is not None else StepContext(None)
+        ctx = context if context is not None else StepContext()
         pending = PendingStep(self, ctx)
         pending.affected |= self._add_variables(new_values)
         registered, indices = self._register_factors(new_factors)
@@ -654,36 +659,41 @@ class IncrementalEngine:
         """Shape of the live supernodal tree (cheap, O(#nodes) + O(1)
         fill readout): height, max per-depth width, branch nodes, roots,
         and scalar fill nnz of L."""
-        if not self.nodes:
-            return {"supernodes": 0.0, "height": 0.0, "max_width": 0.0,
-                    "branch_nodes": 0.0, "roots": 0.0,
-                    "fill_nnz": float(self._fill_total)}
-        depth: Dict[int, int] = {}
-        width: Dict[int, int] = {}
-        child_count: Dict[int, int] = {}
-        roots = 0
-        # Descending head position: a parent's head is always above its
-        # child's last position, so parents are visited first.
-        for node in sorted(self.nodes.values(),
-                           key=lambda nd: -nd.positions[0]):
+        levels = self._depth_levels()
+        height, max_width = _level_extent(levels)
+        children: Dict[int, int] = {}
+        for node in self.nodes.values():
             if node.pattern:
                 parent_sid = self.node_of[node.pattern[0]]
-                d = depth[parent_sid] + 1
-                child_count[parent_sid] = child_count.get(parent_sid, 0) + 1
-            else:
-                d = 0
-                roots += 1
-            depth[node.sid] = d
-            width[d] = width.get(d, 0) + 1
+                children[parent_sid] = children.get(parent_sid, 0) + 1
         return {
             "supernodes": float(len(self.nodes)),
-            "height": float(max(depth.values())),
-            "max_width": float(max(width.values())),
-            "branch_nodes": float(sum(
-                1 for c in child_count.values() if c > 1)),
-            "roots": float(roots),
+            "height": height,
+            "max_width": max_width,
+            "branch_nodes": float(sum(1 for c in children.values() if c > 1)),
+            "roots": float(len(levels[0])) if levels else 0.0,
             "fill_nnz": float(self._fill_total),
         }
+
+    def _depth_levels(self) -> List[List[_Node]]:
+        """Live supernodes bucketed by tree depth, roots first.
+
+        Nodes are visited in descending last position — the wildfire
+        sweep's order, kept within each level.  A parent's head lies
+        above its child's last position, so every parent is visited
+        (and has its depth) before its children.
+        """
+        depth: Dict[int, int] = {}
+        levels: List[List[_Node]] = []
+        for node in sorted(self.nodes.values(),
+                           key=lambda nd: -nd.positions[-1]):
+            d = (depth[self.node_of[node.pattern[0]]] + 1
+                 if node.pattern else 0)
+            depth[node.sid] = d
+            if len(levels) <= d:
+                levels.append([])
+            levels[d].append(node)
+        return levels
 
     # ------------------------------------------------------------------
     # phase E/F: supernode rebuild over the affected region
@@ -826,122 +836,41 @@ class IncrementalEngine:
         return PreparedRefactorize(self, fresh, ctx)
 
     def _refactorize(self, fresh: List[int], ctx: StepContext) -> None:
-        if self._executor.workers > 1 and len(fresh) > 1:
-            prep = self.refactorize_begin(fresh, ctx)
-            prep.run(self._executor)
-            prep.finish()
-            return
-        start = time.perf_counter()
-        cache = self._plans
-        hits0, misses0, compiles0 = cache.counters()
-        aud = current_auditor()
-        executor = self._executor
-        lin = self._lin
-        fresh_nodes = sorted((self.nodes[sid] for sid in fresh),
-                             key=lambda n: n.positions[0])
-        for node in fresh_nodes:
-            children = self._children_nodes(node)
-            plan = self._plan_for(node, children, aud)
-            node.plan = plan
-            node.pos_idx = plan.pos_idx
-            node.pattern_idx = plan.pattern_idx
-            node.pattern_arr = plan.pattern_arr
-            node.positions_arr = plan.positions_arr
-            node.pos_starts = plan.pos_starts
-
-            node_trace = ctx.node(node.sid, cols=plan.m,
-                                  rows_below=plan.front_size - plan.m)
-            node.l_a, node.l_b, node.c_update = \
-                executor.factorize_node(
-                    plan,
-                    [lin[index].hessian for index in plan.factor_ids],
-                    [child.c_update for child in children],
-                    self.damping, node_trace)
-
-            rhs = (self._gradient.gather(plan.pos_idx)
-                   - self._carry.gather(plan.pos_idx))
-            node.y, node.v = executor.forward_update(
-                plan, node.l_a, node.l_b, rhs, node_trace)
-            if node.v is not None:
-                self._carry.scatter_add(plan.pattern_idx, node.v, 1.0)
-        ctx.plan_hits += cache.hits - hits0
-        ctx.plan_misses += cache.misses - misses0
-        ctx.plan_compiles += cache.compiles - compiles0
-        ctx.refactor_seconds += time.perf_counter() - start
+        prep = self.refactorize_begin(fresh, ctx)
+        prep.run(self._executor)
+        prep.finish()
 
     # ------------------------------------------------------------------
     # phase H: wildfire back-substitution (top-down)
     # ------------------------------------------------------------------
 
-    def _back_substitute(self, fresh: List[int], ctx: StepContext) -> None:
-        if self._executor.workers > 1 and len(self.nodes) > 1:
-            self._back_substitute_parallel(fresh, ctx)
-            return
-        fresh_set = set(fresh)
-        changed = np.zeros(self.num_positions)
-        delta_data = self.delta.data
-        # Visit each node once, root side first: a node is processed when
-        # the scan reaches its last position.
-        for p in range(self.num_positions - 1, -1, -1):
-            sid = self.node_of[p]
-            node = self.nodes[sid]
-            if node.positions[-1] != p:
-                continue
-            dirty = sid in fresh_set
-            if not dirty and node.pattern:
-                dirty = bool(np.any(changed[node.pattern_arr]
-                                    > self.wildfire_tol))
-            if not dirty:
-                continue
-            ctx.backsub += 1
-            node_trace = ctx.node(sid)
-            above = delta_data[node.pattern_idx] if node.pattern else None
-            x = self._executor.backsolve_node(
-                node.l_a, node.l_b, node.y, above, node_trace)
-            if x.size:
-                diffs = np.abs(x - delta_data[node.pos_idx])
-                changed[node.positions_arr] = np.maximum.reduceat(
-                    diffs, node.pos_starts)
-                delta_data[node.pos_idx] = x
+    def _back_substitute(self, fresh: List[int],
+                         ctx: StepContext) -> List[List[_Node]]:
+        """Wildfire back-substitution, one depth level at a time.
 
-    def _back_substitute_parallel(self, fresh: List[int],
-                                  ctx: StepContext) -> None:
-        """Depth-level-scheduled twin of the wildfire sweep.
-
-        The top-down solve is naturally exact under level parallelism: a
-        node reads ``delta``/``changed`` only at its pattern positions
-        (owned by strict ancestors, finished in earlier levels) and
-        writes only its own positions (disjoint within a level), with no
-        cross-node float accumulation anywhere.  The wildfire dirty test
-        is evaluated on the main thread at each level boundary, so it
-        sees exactly the serial scan's ``changed`` state.
+        The top-down solve is exact under level scheduling: a node reads
+        ``delta``/``changed`` only at its pattern positions (owned by
+        strict ancestors, finished in earlier levels) and writes only its
+        own positions (disjoint within a level), with no cross-node float
+        accumulation anywhere.  The wildfire dirty test runs on the main
+        thread at each level boundary; a level with no dirty node
+        dispatches nothing.
 
         Trace fidelity: backsolve ops are recorded into detached
-        :class:`NodeTrace` objects and merged at the end in descending
-        last-position order — the serial scan's processing order, which
-        level-major order does *not* preserve (a deeper node in one
-        subtree can sit above a shallower node in another).
+        :class:`NodeTrace` objects and adopted at the end in descending
+        last-position order — the order of a top-down position scan,
+        which level-major order does *not* preserve (a deeper node in
+        one subtree can sit above a shallower node in another).
+
+        Returns the depth levels it swept, from which the step's
+        tree-shape extras are read.
         """
         fresh_set = set(fresh)
         changed = np.zeros(self.num_positions)
         delta_data = self.delta.data
         executor = self._executor
         tracing = ctx.trace is not None
-        # Parents first: a parent's last position is always above every
-        # descendant's (its head exceeds the child's last position).
-        ordered = sorted(self.nodes.values(),
-                         key=lambda nd: -nd.positions[-1])
-        depth: Dict[int, int] = {}
-        levels: List[List[_Node]] = []
-        for node in ordered:
-            if node.pattern:
-                d = depth[self.node_of[node.pattern[0]]] + 1
-            else:
-                d = 0
-            depth[node.sid] = d
-            if len(levels) <= d:
-                levels.append([])
-            levels[d].append(node)
+        levels = self._depth_levels()
         processed: List[Tuple[_Node, Optional[NodeTrace]]] = []
         stats = LevelStats()
         for level in levels:
@@ -959,15 +888,14 @@ class IncrementalEngine:
                 tasks.append(lambda nd=node, nt=node_trace:
                              self._backsolve_task(nd, nt, changed,
                                                   delta_data))
-            executor.run_level(tasks, stats)
+            if tasks:
+                executor.run_level(tasks, stats)
         if tracing:
             processed.sort(key=lambda item: -item[0].positions[-1])
             for _, node_trace in processed:
                 ctx.trace.adopt(node_trace)
-        ctx.parallel_nodes += stats.nodes
-        ctx.parallel_levels += stats.levels
-        ctx.parallel_task_seconds += stats.task_seconds
-        ctx.parallel_wall_seconds += stats.wall_seconds
+        ctx.add_level_stats(stats)
+        return levels
 
     def _backsolve_task(self, node: _Node,
                         node_trace: Optional[NodeTrace],
@@ -989,25 +917,18 @@ class IncrementalEngine:
     def solve_with_rhs(self, rhs: List[np.ndarray]) -> List[np.ndarray]:
         """Solve ``H x = rhs`` using the live cached factorization.
 
-        Does not touch the engine's state (deltas, carries); used for
-        marginal covariance queries between updates.
+        ``rhs`` holds one vector per elimination position; raises
+        ``ValueError`` when a block is missing, extra or of the wrong
+        size.  Does not touch the engine's state (deltas, carries); used
+        for marginal covariance queries between updates.
         """
         offsets = self.delta.offsets
-        total = self.delta.total_dim
-        flat = (np.concatenate([np.asarray(r, dtype=float) for r in rhs])
-                if len(rhs) else np.zeros(0))
+        flat = flatten_rhs(rhs, self.dims)
         ordered = sorted(self.nodes.values(), key=lambda n: n.positions[0])
         entries = [(node.sid, node.l_a, node.l_b, node.pos_idx,
                     node.pattern_idx if node.pattern else None)
                    for node in ordered]
-        parents = None
-        if self.workers > 1:
-            parents = {
-                node.sid: (self.node_of[node.pattern[0]] if node.pattern
-                           else None)
-                for node in ordered}
-        x = tree_solve(entries, flat, total, workers=self.workers,
-                       parents=parents)
+        x = tree_solve(entries, flat, self.delta.total_dim)
         return [x[offsets[p]:offsets[p + 1]]
                 for p in range(self.num_positions)]
 
@@ -1106,9 +1027,10 @@ class PendingStep:
        factors (also performs the retractions); ``apply_relin``.
     3. ``prepare_solve()`` — reorder decision, incremental symbolic
        resolve, supernode rebuild.
-    4. ``refactorize()`` (single-session) *or* ``refactorize_begin()``
-       plus external level scheduling and ``PreparedRefactorize.finish``
-       (fleet).
+    4. ``refactorize()`` (single-session: ``refactorize_begin``,
+       ``PreparedRefactorize.run``, ``finish``) *or*
+       ``refactorize_begin()`` plus external level scheduling and
+       ``PreparedRefactorize.finish`` (fleet).
     5. ``finish()`` — wildfire back-substitution, step counters; returns
        the engine's info dict.
     """
@@ -1189,15 +1111,15 @@ class PendingStep:
     def finish(self) -> Dict[str, object]:
         engine = self.engine
         ctx = self.ctx
-        engine._back_substitute(self.fresh, ctx)
+        levels = engine._back_substitute(self.fresh, ctx)
         ctx.relin_variables += self.relin_key_count
         ctx.relin_factors += len(self.relin_indices)
         ctx.symbolic += len(self.sym_affected)
         ctx.numeric += len(self.fresh)
-        shape = engine.tree_shape()
-        ctx.extras["tree_height"] = shape["height"]
-        ctx.extras["tree_max_width"] = shape["max_width"]
-        ctx.extras["tree_fill_nnz"] = shape["fill_nnz"]
+        height, max_width = _level_extent(levels)
+        ctx.extras["tree_height"] = height
+        ctx.extras["tree_max_width"] = max_width
+        ctx.extras["tree_fill_nnz"] = float(engine._fill_total)
         return {
             "relinearized_variables": self.relin_key_count,
             "relinearized_factors": len(self.relin_indices),
@@ -1208,19 +1130,20 @@ class PendingStep:
 
 
 class PreparedRefactorize:
-    """Plan-resolved refactorization whose levels schedule externally.
+    """Plan-resolved refactorization, dispatched one level at a time.
 
-    Construction is the serial phase-0 of PR 8's level-parallel
-    refactorize: plan resolution, index attachment and trace-node
-    creation in head order — so plan-cache traffic, auditor recompiles
-    and trace insertion order all match the serial path exactly.  The
-    numeric bulk is then exposed as dependency levels whose tasks a
-    caller dispatches through any
+    This is the engine's only refactorize path, at every worker count.
+    Construction runs on the main thread: plan resolution, index
+    attachment and trace-node creation in head order, so plan-cache
+    traffic, auditor recompiles and trace insertion order never depend
+    on how the levels are dispatched.  The numeric bulk is then exposed
+    as dependency levels whose tasks a caller dispatches through any
     :meth:`~repro.linalg.parallel.ParallelStepExecutor.run_level` —
     the engine's own driver is :meth:`run`; the serving fleet instead
     merges every session's level-k tasks into one shared dispatch.
-    :meth:`finish` performs the serial forward sweep and carry scatter
-    (cross-subtree float accumulations that must stay in head order).
+    :meth:`finish` performs the forward sweep and carry scatter on the
+    main thread (cross-subtree float accumulations that must stay in
+    head order).
 
     Plan-cache counter deltas are attributed *inside construction*: in
     a fleet, many sessions interleave lookups against one shared cache
@@ -1316,7 +1239,8 @@ class PreparedRefactorize:
         self.ctx.refactor_seconds += time.perf_counter() - start
 
     def finish(self) -> None:
-        """Serial forward sweep + carry scatter, in head order."""
+        """Forward sweep + carry scatter on the main thread, in head
+        order."""
         start = time.perf_counter()
         engine = self.engine
         executor = engine._executor
@@ -1328,12 +1252,8 @@ class PreparedRefactorize:
                 plan, node.l_a, node.l_b, rhs, self.traces[node.sid])
             if node.v is not None:
                 engine._carry.scatter_add(plan.pattern_idx, node.v, 1.0)
-        ctx = self.ctx
-        ctx.parallel_nodes += self.stats.nodes
-        ctx.parallel_levels += self.stats.levels
-        ctx.parallel_task_seconds += self.stats.task_seconds
-        ctx.parallel_wall_seconds += self.stats.wall_seconds
-        ctx.refactor_seconds += time.perf_counter() - start
+        self.ctx.add_level_stats(self.stats)
+        self.ctx.refactor_seconds += time.perf_counter() - start
 
 
 class ISAM2:
@@ -1378,11 +1298,10 @@ class ISAM2:
 
     def update(self, new_values: Dict[Key, object],
                new_factors: Sequence[Factor],
-               trace: Optional[OpTrace] = None,
                context: Optional[StepContext] = None) -> StepReport:
         """Process one timestep of the online SLAM problem."""
         self._step += 1
-        ctx = context if context is not None else StepContext(trace)
+        ctx = context if context is not None else StepContext()
         norms = self.engine.delta_norm_array()
         order = self.engine.order
         relin = [order[p]

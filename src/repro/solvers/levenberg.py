@@ -48,8 +48,9 @@ class LevenbergMarquardt:
         An :class:`~repro.linalg.ordering.OrderingPolicy` name or
         instance.
     workers:
-        Thread-pool size for level-scheduled parallel factorization
-        (bit-identical to serial; ``None`` reads ``REPRO_WORKERS``).
+        Thread-pool size for the level-scheduled factorization
+        (bit-identical at every count, ``1`` runs levels inline;
+        ``None`` reads ``REPRO_WORKERS``).
     """
 
     def __init__(self, max_iterations: int = 30, tolerance: float = 1e-9,

@@ -16,7 +16,6 @@ from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
 from repro.instrumentation import StepContext
-from repro.linalg.trace import OpTrace
 from repro.solvers.base import StepReport
 from repro.solvers.fixed_lag import FixedLagSmoother
 from repro.solvers.gauss_newton import GaussNewton
@@ -69,10 +68,9 @@ class LocalGlobal:
 
     def update(self, new_values: Dict[Key, object],
                new_factors: Sequence[Factor],
-               trace: Optional[OpTrace] = None,
                context: Optional[StepContext] = None) -> StepReport:
         self._step += 1
-        ctx = context if context is not None else StepContext(trace)
+        ctx = context if context is not None else StepContext()
         for key, value in new_values.items():
             self._initials[key] = value
         closures = 0

@@ -9,6 +9,7 @@ from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
     PriorFactorSE2
 from repro.geometry import SE2
 from repro.hardware import supernova_soc
+from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.runtime import NodeCostModel, execute_step
 from repro.solvers import ISAM2, IncrementalEngine
@@ -261,7 +262,8 @@ class TestRAISAM2:
                 factors.append(BetweenFactorSE2(
                     0, i, SE2(float(i), 0.0, 0.0), NOISE))
             trace = OpTrace()
-            report = solver.update({i: guess}, factors, trace=trace)
+            report = solver.update({i: guess}, factors,
+                                   context=StepContext(trace))
             latency = execute_step(report, soc, report.node_parents)
             if latency.total > 1.0 / 30.0:
                 misses += 1

@@ -1,6 +1,7 @@
 """Tests for marginal covariance queries on the live incremental engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,26 @@ class TestSolveWithRhs:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(carry_before, engine._carry):
             np.testing.assert_array_equal(a, b)
+
+    def test_rejects_extra_block(self):
+        engine = build_engine(n=4)
+        rhs = [np.ones(d) for d in engine.dims] + [np.ones(3)]
+        with pytest.raises(ValueError, match="extra block at position 4"):
+            engine.solve_with_rhs(rhs)
+
+    def test_rejects_misplaced_block_sizes(self):
+        # Right total (3 + 3), wrong split: must not be silently
+        # re-cut at the wrong offsets.
+        engine = build_engine(n=2)
+        with pytest.raises(ValueError, match="position 0 has shape"):
+            engine.solve_with_rhs([np.ones(2), np.ones(4)])
+
+    def test_rejects_missing_block(self):
+        engine = build_engine(n=4)
+        rhs = [np.ones(d) for d in engine.dims][:3]
+        with pytest.raises(ValueError, match="missing the block at "
+                                             "position 3"):
+            engine.solve_with_rhs(rhs)
 
 
 class TestMarginalCovariance:

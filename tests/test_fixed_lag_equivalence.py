@@ -14,6 +14,7 @@ and require identical per-step estimates and op traces to ``atol=1e-9``.
 import numpy as np
 
 from repro.datasets import cab1_dataset, manhattan_dataset
+from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.solvers.fixed_lag import FixedLagSmoother
 
@@ -39,7 +40,7 @@ def _dual_run(data, window=8, iterations=2):
         seed_report = seed.update({step.key: step.guess}, step.factors,
                                   trace=seed_trace)
         cur_report = current.update({step.key: step.guess}, step.factors,
-                                    trace=cur_trace)
+                                    context=StepContext(cur_trace))
 
         assert (cur_report.extras["dropped_factors"]
                 == seed_report.extras["dropped_factors"]), f"step {index}"

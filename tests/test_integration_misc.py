@@ -19,6 +19,7 @@ from repro.factorgraph import (
 )
 from repro.geometry import SE2
 from repro.hardware import boom_cpu, supernova_soc
+from repro.instrumentation import StepContext
 from repro.linalg.trace import Op, OpKind, OpTrace
 from repro.runtime import (
     NodeCostModel,
@@ -72,13 +73,13 @@ class TestExecutorEdgeCases:
         engine = IncrementalEngine()
         trace = OpTrace()
         engine.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)],
-                      trace=trace)
+                      context=StepContext(trace))
         for i in range(1, 12):
             trace = OpTrace()
             engine.update(
                 {i: SE2(float(i), 0.0, 0.0)},
                 [BetweenFactorSE2(i - 1, i, SE2(1.0, 0.0, 0.0), NOISE)],
-                trace=trace)
+                context=StepContext(trace))
         report = StepReport(step=11, relinearized_factors=3,
                             affected_columns=4, trace=trace,
                             node_parents={})

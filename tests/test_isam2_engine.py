@@ -17,6 +17,7 @@ from repro.factorgraph import (
     Values,
 )
 from repro.geometry import SE2
+from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.solvers import GaussNewton, ISAM2, IncrementalEngine
 
@@ -225,7 +226,7 @@ class TestTraceSideChannel:
         engine = IncrementalEngine(wildfire_tol=0.0)
         trace = OpTrace()
         engine.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)],
-                      trace=trace)
+                      context=StepContext(trace))
         assert len(trace.nodes) == 1
         assert trace.flops > 0
 
@@ -235,7 +236,7 @@ class TestTraceSideChannel:
         for i in range(1, 30):
             engine.update(*odometry_step(i))
         trace = OpTrace()
-        info = engine.update(*odometry_step(30), trace=trace)
+        info = engine.update(*odometry_step(30), context=StepContext(trace))
         # An odometry step refactors only the root region of the tree.
         assert info["refactored_nodes"] <= 3
         from repro.linalg.trace import OpKind

@@ -118,6 +118,66 @@ class TestTreeShape:
         assert report.extras["tree_fill_nnz"] > 0.0
 
 
+def _shape(engine):
+    shape = engine.tree_shape()
+    return {k: shape[k] for k in ("height", "max_width", "branch_nodes",
+                                  "roots")}
+
+
+class TestTreeShapeValues:
+    """tree_shape() on hand-built trees, one supernode per variable."""
+
+    def test_chain(self):
+        engine = IncrementalEngine(max_supernode_vars=1)
+        engine.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)])
+        for i in range(1, 6):
+            engine.update({i: SE2(float(i), 0.0, 0.0)},
+                          [BetweenFactorSE2(i - 1, i, SE2(1.0, 0.0, 0.0),
+                                            NOISE)])
+        assert _shape(engine) == {"height": 5.0, "max_width": 1.0,
+                                  "branch_nodes": 0.0, "roots": 1.0}
+        assert engine.tree_shape()["supernodes"] == 6.0
+
+    def test_star(self):
+        # Four prior-anchored leaves first, the hub last: every leaf's
+        # parent is the hub.
+        engine = IncrementalEngine(max_supernode_vars=1)
+        engine.update({i: SE2(float(i), 1.0, 0.0) for i in range(4)},
+                      [PriorFactorSE2(i, SE2(float(i), 1.0, 0.0), NOISE)
+                       for i in range(4)])
+        info = engine.update(
+            {4: SE2()},
+            [BetweenFactorSE2(i, 4, SE2(-float(i), -1.0, 0.0), NOISE)
+             for i in range(4)])
+        assert _shape(engine) == {"height": 1.0, "max_width": 4.0,
+                                  "branch_nodes": 1.0, "roots": 1.0}
+        assert info["refactored_nodes"] == 5
+
+    def test_forest_and_step_extras(self):
+        # Two unconnected chains (keys 0-2 and 10-12) are two roots; the
+        # per-step extras read the same shape off the wildfire levels.
+        solver = ISAM2(max_supernode_vars=1)
+        report = None
+        for i in range(3):
+            if i == 0:
+                factors = [PriorFactorSE2(k, SE2(), NOISE) for k in (0, 10)]
+            else:
+                factors = [BetweenFactorSE2(k - 1, k, SE2(1.0, 0.0, 0.0),
+                                            NOISE) for k in (i, 10 + i)]
+            report = solver.update({i: SE2(float(i), 0.0, 0.0),
+                                    10 + i: SE2(float(i), 5.0, 0.0)},
+                                   factors)
+        assert _shape(solver.engine) == {"height": 2.0, "max_width": 2.0,
+                                         "branch_nodes": 0.0, "roots": 2.0}
+        assert report.extras["tree_height"] == 2.0
+        assert report.extras["tree_max_width"] == 2.0
+
+    def test_empty(self):
+        assert IncrementalEngine().tree_shape() == {
+            "supernodes": 0.0, "height": 0.0, "max_width": 0.0,
+            "branch_nodes": 0.0, "roots": 0.0, "fill_nnz": 0.0}
+
+
 class TestPlanCacheAfterReorder:
     def test_structure_unchanged_steps_hit_cache(self):
         # After a reorder the cache is cleared; structurally identical

@@ -130,6 +130,36 @@ class TestMultifrontalCholesky:
         solve_and_compare(symbolic, contribs, dims)
 
 
+class TestSolveVectorChecks:
+    """``solve_vector`` rejects rhs blocks that do not fit the problem."""
+
+    @pytest.fixture
+    def solver(self):
+        rng = np.random.default_rng(5)
+        dims = [3, 3]
+        symbolic, contribs = build_problem(rng, 2, dims)
+        solver = MultifrontalCholesky(symbolic)
+        solver.factorize(contribs)
+        return solver
+
+    def test_accepts_matching_blocks(self, solver):
+        x = solver.solve_vector([np.ones(3), np.ones(3)])
+        assert [block.shape for block in x] == [(3,), (3,)]
+
+    def test_rejects_extra_block(self, solver):
+        with pytest.raises(ValueError, match="extra block at position 2"):
+            solver.solve_vector([np.ones(3), np.ones(3), np.ones(3)])
+
+    def test_rejects_misplaced_block_sizes(self, solver):
+        with pytest.raises(ValueError, match="position 0 has shape"):
+            solver.solve_vector([np.ones(2), np.ones(4)])
+
+    def test_rejects_missing_block(self, solver):
+        with pytest.raises(ValueError, match="missing the block at "
+                                             "position 1"):
+            solver.solve_vector([np.ones(3)])
+
+
 class TestTraceEmission:
     def run_traced(self):
         rng = np.random.default_rng(6)

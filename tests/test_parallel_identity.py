@@ -1,11 +1,13 @@
-"""Parallel numeric execution must be bit-identical to the serial path.
+"""Level-scheduled execution must be bit-identical at every worker count.
 
-The level-scheduled executor (:mod:`repro.linalg.parallel`) promises
-atol-0 equality with serial execution for every solver mode: deltas,
-factors, solutions, op traces (content *and* insertion order) and plan
-counters.  These tests pin that contract across orderings and worker
-counts, plus the level scheduler itself and the thread-safety of the
-lane-pricing memo it leans on.
+The level scheduler (:mod:`repro.linalg.parallel`) is the only numeric
+driver; one worker runs each level inline, more fan it out onto a
+thread pool.  It promises atol-0 equality across worker counts for
+every solver mode: deltas, factors, solutions, op traces (content *and*
+insertion order) and plan counters.  These tests pin that contract
+across orderings and worker counts, check that one worker never asks
+for the pool, and cover the level scheduler itself and the
+thread-safety of the lane-pricing memo it leans on.
 """
 
 import os
@@ -14,8 +16,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import RAISAM2
 from repro.datasets import manhattan_dataset
 from repro.factorgraph import FactorGraph, Values
+from repro.hardware import supernova_soc
+from repro.instrumentation import StepContext
 from repro.linalg import MultifrontalCholesky, SymbolicFactorization
 from repro.linalg.parallel import (
     levels_from_parents,
@@ -23,9 +28,15 @@ from repro.linalg.parallel import (
 )
 from repro.linalg.plan import tree_solve
 from repro.linalg.trace import OpTrace
-from repro.runtime import node_cycles
+from repro.runtime import NodeCostModel, node_cycles
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import LANE_CACHE_STATS, LaneCacheStats
+from repro.serving import (
+    FleetConfig,
+    default_solver_factory,
+    fleet_workload,
+    run_fleet,
+)
 from repro.solvers import GaussNewton, ISAM2, LevenbergMarquardt
 from repro.solvers.fixed_lag import FixedLagSmoother
 from repro.solvers.linearize import linearize_graph
@@ -161,8 +172,8 @@ class TestBatchIdentity:
         for a, b in zip(x1, x4):
             assert a.tobytes() == b.tobytes()
         assert_traces_identical(t1, t4)
-        # Plan-cache traffic is part of the serial contract (phase 0
-        # runs serially in node order on the parallel path too).
+        # Plan-cache traffic is part of the contract: plans resolve on
+        # the main thread in node order at every worker count.
         assert s1.plan_counters == s4.plan_counters
         assert s4.level_stats.nodes > 0  # it really dispatched
 
@@ -186,14 +197,9 @@ class TestBatchIdentity:
             for sid in symbolic.node_order()]
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal(solver._total)
-        serial = tree_solve(entries, rhs, solver._total)
-        t_serial, t_par = OpTrace(), OpTrace()
-        serial_traced = tree_solve(entries, rhs, solver._total, t_serial)
-        parallel = tree_solve(entries, rhs, solver._total, t_par,
-                              workers=4, parents=solver._parents)
-        assert serial.tobytes() == serial_traced.tobytes()
-        assert serial.tobytes() == parallel.tobytes()
-        assert_traces_identical(t_serial, t_par)
+        untraced = tree_solve(entries, rhs, solver._total)
+        traced = tree_solve(entries, rhs, solver._total, OpTrace())
+        assert untraced.tobytes() == traced.tobytes()
 
     def test_fixed_lag_bit_identical(self):
         data, _, _ = batch_problem()
@@ -204,7 +210,7 @@ class TestBatchIdentity:
             for step in data.steps[:30]:
                 trace = OpTrace()
                 smoother.update({step.key: step.guess}, step.factors,
-                                trace=trace)
+                                context=StepContext(trace))
                 traces.append(trace)
             return smoother, traces
 
@@ -232,7 +238,8 @@ class TestEngineIdentity:
             for step in data.steps[:60]:
                 trace = OpTrace()
                 report = solver.update({step.key: step.guess},
-                                       step.factors, trace=trace)
+                                       step.factors,
+                                       context=StepContext(trace))
                 deltas.append(solver.engine.delta.data.copy())
                 traces.append(trace)
                 reports.append(report)
@@ -251,7 +258,7 @@ class TestEngineIdentity:
                     assert ra.extras[key] == rb.extras[key], \
                         (ordering, workers, key)
                 assert ra.node_parents == rb.node_parents
-            # Marginals go through the parallel tree_solve.
+            # Marginals solve over the level-built factors.
             key = sorted(s1.engine.pos_of)[len(s1.engine.pos_of) // 2]
             m1 = s1.engine.marginal_covariance(key)
             mw = sw.engine.marginal_covariance(key)
@@ -284,6 +291,57 @@ class TestEngineIdentity:
         assert report.extras["wall_speedup"] == 1.0
 
 
+class TestInlineDispatch:
+    """With one worker every level runs inline: no solver mode may ask
+    for the thread pool."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(workers):
+            raise AssertionError(f"thread pool requested ({workers})")
+
+        monkeypatch.setattr("repro.linalg.parallel.shared_pool", refuse)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+
+    def test_pool_guard_is_live(self):
+        data = manhattan_dataset(scale=0.05, seed=3)
+        solver = ISAM2(ordering="constrained_colamd", workers=2)
+        with pytest.raises(AssertionError, match="thread pool requested"):
+            for step in data.steps[:60]:
+                solver.update({step.key: step.guess}, step.factors)
+
+    def test_isam2_with_reorders(self):
+        data = manhattan_dataset(scale=0.05, seed=3)
+        solver = ISAM2(ordering="constrained_colamd", reorder_interval=10,
+                       workers=1)
+        for step in data.steps[:60]:
+            report = solver.update({step.key: step.guess}, step.factors,
+                                   context=StepContext(OpTrace()))
+            assert report.extras["parallel_nodes"] == 0.0
+        assert solver.engine.reorders > 0
+        key = sorted(solver.engine.pos_of)[0]
+        solver.engine.marginal_covariance(key)
+
+    def test_raisam2(self):
+        data = manhattan_dataset(scale=0.05, seed=3)
+        solver = RAISAM2(NodeCostModel(supernova_soc(1)),
+                         target_seconds=1.0 / 30.0, workers=1)
+        for step in data.steps[:40]:
+            solver.update({step.key: step.guess}, step.factors)
+
+    def test_gauss_newton(self):
+        _, graph, values = batch_problem()
+        GaussNewton(max_iterations=3, ordering="constrained_colamd",
+                    workers=1).optimize(graph, values)
+
+    def test_fleet(self):
+        result, fleet = run_fleet(fleet_workload(3, 16),
+                                  default_solver_factory(),
+                                  FleetConfig(workers=1, degrade=False))
+        assert not fleet.dead_sessions
+        assert result.steps_completed == 3 * 16
+
+
 class TestConcurrentPricing:
     def test_same_trace_priced_once(self):
         # Regression: the lane-memo lookup/compute/store in node_cycles
@@ -291,8 +349,6 @@ class TestConcurrentPricing:
         # concurrent pricing of one trace double-counted misses (and
         # could tear the global counters), breaking the autotuner's
         # exact collapse accounting.
-        from repro.hardware import supernova_soc
-
         soc = supernova_soc(2)
         n_threads = 8
         for round_ in range(5):

@@ -11,6 +11,7 @@ a single float operation.
 import numpy as np
 
 from repro.datasets import cab1_dataset, manhattan_dataset
+from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.solvers import ISAM2
 
@@ -38,7 +39,7 @@ def _dual_run(data, relin_threshold=0.05, wildfire_tol=1e-5):
         seed_report = seed.update({step.key: step.guess}, step.factors,
                                   trace=seed_trace)
         cur_report = current.update({step.key: step.guess}, step.factors,
-                                    trace=cur_trace)
+                                    context=StepContext(cur_trace))
 
         # Work counters: both sides decided the same relinearization set
         # and refactored the same part of the tree.

@@ -9,6 +9,7 @@ from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
     PriorFactorSE2
 from repro.geometry import SE2
 from repro.hardware import supernova_soc
+from repro.instrumentation import StepContext
 from repro.linalg.trace import OpKind, OpTrace
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import node_cycles
@@ -30,7 +31,8 @@ def traced_engine_step(n=20, closure=True):
     if closure:
         factors.append(BetweenFactorSE2(0, n, SE2(float(n), 0.0, 0.0),
                                         NOISE))
-    engine.update({n: SE2(float(n), 0.0, 0.0)}, factors, trace=trace)
+    engine.update({n: SE2(float(n), 0.0, 0.0)}, factors,
+                  context=StepContext(trace))
     return engine, trace
 
 
