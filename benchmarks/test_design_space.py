@@ -6,7 +6,7 @@ Two tiers:
   as the byte-reproducible ``design_space.txt`` artifact, and
 * the full trace-replay autotuner over all five axes (dim, sets, CPU
   tiles, LLC, DRAM bandwidth): >= 1000 configurations with a gated
-  per-configuration throughput floor against realizing + pricing each
+  per-configuration throughput floor against building + pricing each
   configuration independently, and the requirement that the old Pareto
   front survives inside the new one.
 """
@@ -25,11 +25,10 @@ from repro.experiments.design_space import (
     pareto_points,
 )
 from repro.hardware.autotune import DesignPoint, autotune, default_grid
-from repro.hardware.registry import platform_spec
-from repro.hardware.spec import realize
+from repro.hardware.registry import make_platform
 
 #: Autotuned configs must price at least this much faster than the
-#: naive realize-and-price-per-config loop.
+#: naive build-and-price-per-config loop.
 MIN_PER_CONFIG_SPEEDUP = 10.0
 
 
@@ -57,7 +56,7 @@ def test_design_space_sweep(once, save_result):
 
 
 def _naive_seconds_per_config(run, samples: int = 3) -> float:
-    """Realize + price one configuration from scratch.
+    """Build + price one configuration from scratch.
 
     An epsilon-perturbed ``rocc_overhead`` gives every sample a fresh
     ``pricing_key``, so the per-trace lane caches are cold — exactly the
@@ -65,10 +64,9 @@ def _naive_seconds_per_config(run, samples: int = 3) -> float:
     """
     total = 0.0
     for sample in range(samples):
-        spec = platform_spec("SuperNoVA2S",
-                             rocc_overhead=40.0 + 1e-9 * (sample + 1))
         start = time.perf_counter()
-        soc = realize(spec)
+        soc = make_platform("SuperNoVA2S",
+                            rocc_overhead=40.0 + 1e-9 * (sample + 1))
         price_run(run, soc)
         total += time.perf_counter() - start
     return total / samples

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.experiments.common import isam2_run
-from repro.hardware import boom_cpu, supernova_soc
+from repro.hardware import make_platform
 from repro.runtime.scheduler import (
     RuntimeFeatures,
     node_cycles,
@@ -68,8 +68,8 @@ def test_pricing_speedup(once, save_result):
     num_ops = sum(trace.num_ops for trace in traces)
     assert traces and num_ops > 0
 
-    nova = supernova_soc(2)
-    boom = boom_cpu()
+    nova = make_platform("SuperNoVA2S")
+    boom = make_platform("BOOM")
     features = RuntimeFeatures.all()
     # The seed stored each trace as a list of Op dataclasses; give the
     # scalar loop the same starting point so only pricing is timed.

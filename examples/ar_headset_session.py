@@ -13,7 +13,7 @@ import argparse
 
 from repro.core import RAISAM2
 from repro.datasets import cab1_dataset, run_online
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.metrics import latency_stats
 from repro.runtime import NodeCostModel
 from repro.solvers import ISAM2
@@ -30,7 +30,7 @@ def main():
     args = parser.parse_args()
 
     data = cab1_dataset(scale=args.steps / 464.0)
-    soc = supernova_soc(args.sets)
+    soc = make_platform(f"SuperNoVA{args.sets}S")
     target = args.target_ms * 1e-3
     print(f"{data.describe()}  |  {soc.name}, target {args.target_ms} ms")
 

@@ -10,13 +10,13 @@ Run:  python examples/energy_aware.py
 
 from repro.core import RAISAM2
 from repro.datasets import run_online, sphere_dataset
-from repro.hardware import PowerModel, supernova_soc
+from repro.hardware import PowerModel, make_platform
 from repro.runtime import NodeCostModel
 
 
 def main():
     data = sphere_dataset(scale=0.06)
-    soc = supernova_soc(2)
+    soc = make_platform("SuperNoVA2S")
     power = PowerModel()
     print(f"{data.describe()}  |  {soc.name}, "
           f"peak power {1e3 * power.peak_watts:.0f} mW\n")

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core import RAISAM2
 from repro.datasets import cab2_dataset
 from repro.factorgraph import FactorGraph
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.metrics import irmse, translation_errors
 from repro.pipeline import BackendPipeline, SnapshotStage
 from repro.runtime import NodeCostModel
@@ -35,7 +35,7 @@ def reference_snapshots(data):
 
 def run_session(data, reference, offload_every):
     """Budgeted RA-ISAM2, optionally with the background LC module."""
-    soc = supernova_soc(1)
+    soc = make_platform("SuperNoVA1S")
     solver = RAISAM2(NodeCostModel(soc), target_seconds=2.5e-4,
                      score_floor=0.02)
     graph = FactorGraph()

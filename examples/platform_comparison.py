@@ -17,15 +17,7 @@ from repro.datasets import (
     run_online,
     sphere_dataset,
 )
-from repro.hardware import (
-    boom_cpu,
-    embedded_gpu,
-    mobile_cpu,
-    mobile_dsp,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
-)
+from repro.hardware import make_platform
 from repro.runtime import execute_step
 from repro.solvers import ISAM2
 
@@ -36,10 +28,9 @@ FACTORIES = {
     "CAB2": lambda s: cab2_dataset(scale=s),
 }
 
-PLATFORMS = [
-    boom_cpu(), mobile_cpu(), mobile_dsp(), server_cpu(),
-    embedded_gpu(), spatula_soc(2), supernova_soc(2),
-]
+PLATFORMS = [make_platform(name) for name in (
+    "BOOM", "MobileCPU", "MobileDSP", "ServerCPU", "EmbeddedGPU",
+    "Spatula2S", "SuperNoVA2S")]
 
 
 def main():
@@ -54,7 +45,7 @@ def main():
           f"{len(PLATFORMS)} platforms\n")
 
     solver = ISAM2(relin_threshold=0.05)
-    run = run_online(solver, data, soc=supernova_soc(2),
+    run = run_online(solver, data, soc=make_platform("SuperNoVA2S"),
                      collect_errors=False)
 
     rows = []

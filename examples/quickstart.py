@@ -24,7 +24,7 @@ from repro.factorgraph import (
     Values,
 )
 from repro.geometry import SE2
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.metrics import ape_statistics
 from repro.runtime import NodeCostModel
 from repro.solvers import GaussNewton, ISAM2
@@ -81,7 +81,7 @@ def main():
           f"MAX {stats['max']:.4f} m")
 
     # 3. RA-ISAM2 budgeted against 33.3 ms on a 2-set SuperNoVA SoC.
-    soc = supernova_soc(2)
+    soc = make_platform("SuperNoVA2S")
     ra = RAISAM2(NodeCostModel(soc), target_seconds=1.0 / 30.0)
     run = run_online(ra, data, soc=soc, collect_errors=False)
     stats = ape_statistics(ra.estimate(), data.ground_truth, keys)

@@ -237,6 +237,8 @@ def cmd_autotune(args) -> int:
     if args.dram:
         axes["dram_bandwidths"] = args.dram
     grid = default_grid(**axes)
+    for point in grid:
+        point.spec()  # reject invalid axes before recording the workload
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose \
         else None
     result = autotune_dataset(args.dataset, grid=grid, log=log)

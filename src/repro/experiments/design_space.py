@@ -25,7 +25,7 @@ from repro.experiments.common import format_table, isam2_run, price_run
 from repro.hardware.area import AREA_TABLE, platform_area
 from repro.hardware.autotune import pareto_mask
 from repro.hardware.platforms import SoCConfig
-from repro.hardware.registry import make_platform, platform_spec
+from repro.hardware.registry import make_platform
 
 
 def _soc(systolic_dim: int, accel_sets: int) -> SoCConfig:
@@ -34,9 +34,8 @@ def _soc(systolic_dim: int, accel_sets: int) -> SoCConfig:
 
 
 def _area_estimate(systolic_dim: int, accel_sets: int) -> float:
-    """Area in um^2 of the spec (mesh scales quadratically with dim)."""
-    return platform_area(platform_spec(f"SuperNoVA{accel_sets}S",
-                                       systolic_dim=systolic_dim))
+    """Area in um^2 of the design (mesh scales quadratically with dim)."""
+    return platform_area(_soc(systolic_dim, accel_sets))
 
 
 def design_space_sweep(

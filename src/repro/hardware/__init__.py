@@ -6,13 +6,17 @@ evaluation hinges on:
 
 * COMP: a 4x4 fp32 weight-stationary systolic array with double-buffered
   scratchpad and a Sparse Index Unroller for block scatter (Section 4.2.1),
-* MEM: a DMA engine with virtual channels for memcpy/memset (4.2.2),
+* MEM: a DMA engine for memcpy/memset (4.2.2),
 * CPUs: scalar/SIMD cores with per-call overheads (BOOM, Rocket host,
   mobile A72, Neon DSP, server Xeon),
 * GPU: an embedded Maxwell-class part with kernel-launch overhead that
   dominates small problems,
 * Spatula: a GEMM-only accelerator whose scatter and memory management
   stay on the host CPU (Section 5.4 baseline 6).
+
+The models are frozen dataclasses and the only platform definition;
+each named platform is declared once in :mod:`repro.hardware.registry`
+and obtained with :func:`make_platform`.
 """
 
 from repro.hardware.platforms import (
@@ -21,14 +25,6 @@ from repro.hardware.platforms import (
     GpuModel,
     MemoryAccelerator,
     SoCConfig,
-    boom_cpu,
-    embedded_gpu,
-    mobile_cpu,
-    mobile_dsp,
-    rocket_cpu,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
 )
 from repro.hardware.area import (
     AREA_TABLE,
@@ -37,17 +33,10 @@ from repro.hardware.area import (
     platform_area,
 )
 from repro.hardware.power import PowerModel, peak_watts
-from repro.hardware.spec import (
-    CompSpec,
-    HostSpec,
-    MemSpec,
-    PlatformSpec,
-    realize,
-)
+from repro.hardware.spec import realize
 from repro.hardware.registry import (
     make_platform,
     platform_names,
-    platform_spec,
     register_platform,
 )
 
@@ -57,27 +46,14 @@ __all__ = [
     "CpuModel",
     "GpuModel",
     "SoCConfig",
-    "boom_cpu",
-    "rocket_cpu",
-    "mobile_cpu",
-    "mobile_dsp",
-    "server_cpu",
-    "embedded_gpu",
-    "supernova_soc",
-    "spatula_soc",
     "AREA_TABLE",
     "area_summary",
     "comp_tile_area",
     "platform_area",
     "PowerModel",
     "peak_watts",
-    "HostSpec",
-    "CompSpec",
-    "MemSpec",
-    "PlatformSpec",
     "realize",
     "make_platform",
     "platform_names",
-    "platform_spec",
     "register_platform",
 ]

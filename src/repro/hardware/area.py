@@ -9,7 +9,7 @@ On top of the Table 5 constants sits the *parametric* model the
 design-space autotuner prices configurations with: the MAC mesh scales
 quadratically with the systolic array dimension, the scratchpad +
 accumulator SRAM scales linearly with its capacity, and the Sparse Index
-Unit is present only when the spec enables it.  At the published design
+Unit is present only when the platform enables it.  At the published design
 point (4x4 array, 32 KiB scratchpad, SIU on) the parametric COMP tile
 equals Table 5's exactly.  The scope is the tile complex (CPU tiles +
 accelerator sets); the shared uncore (LLC, DRAM controller) is common to
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:
-    from repro.hardware.spec import PlatformSpec
+    from repro.hardware.platforms import SoCConfig
 
 # Component -> area in um^2 (paper Table 5).
 AREA_TABLE: Dict[str, float] = {
@@ -72,7 +72,7 @@ _BASE_SCRATCHPAD_BYTES = 32 * 1024
 def comp_tile_area(systolic_dim: int = _BASE_SYSTOLIC_DIM,
                    scratchpad_bytes: int = _BASE_SCRATCHPAD_BYTES,
                    has_siu: bool = True) -> float:
-    """COMP tile area as a function of its spec.
+    """COMP tile area as a function of its parameters.
 
     The mesh (MAC array) grows quadratically with the array dimension,
     the scratchpad/accumulator SRAM linearly with capacity; control
@@ -89,24 +89,24 @@ def comp_tile_area(systolic_dim: int = _BASE_SYSTOLIC_DIM,
     return area
 
 
-def platform_area(spec: "PlatformSpec") -> float:
-    """Tile-complex area (um^2) of a declarative platform spec.
+def platform_area(soc: "SoCConfig") -> float:
+    """Tile-complex area (um^2) of a platform.
 
     ``cpu_tiles`` Rocket tiles plus ``accel_sets`` accelerator sets
-    (parametric COMP + MEM each).  For specs without accelerators the
-    host is not a Rocket tile and Table 5 has no entry for it; only the
-    BOOM baseline is tabulated, so that is the one CPU-only area we can
-    report.
+    (parametric COMP + MEM each).  For platforms without accelerators
+    the host is not a Rocket tile and Table 5 has no entry for it; only
+    the BOOM baseline is tabulated, so that is the one CPU-only area we
+    can report.
     """
-    if spec.comp is None or spec.accel_sets == 0:
-        if spec.name == "BOOM":
+    if not soc.has_accelerators:
+        if soc.name == "BOOM":
             return AREA_TABLE["boom_baseline"]
         raise ValueError(
-            f"no Table 5 area for CPU/GPU platform {spec.name!r}")
-    comp = spec.comp
+            f"no Table 5 area for CPU/GPU platform {soc.name!r}")
+    comp = soc.comp
     per_set = comp_tile_area(comp.systolic_dim, comp.scratchpad_bytes,
                              comp.has_siu)
-    if spec.mem is not None:
+    if soc.mem is not None:
         per_set += AREA_TABLE["mem_tile"]
-    return (spec.cpu_tiles * AREA_TABLE["rocket_cpu_tile"]
-            + spec.accel_sets * per_set)
+    return (soc.cpu_tiles * AREA_TABLE["rocket_cpu_tile"]
+            + soc.accel_sets * per_set)

@@ -35,8 +35,8 @@ import numpy as np
 
 from repro.hardware.area import platform_area
 from repro.hardware.power import PowerModel, peak_watts
-from repro.hardware.registry import platform_spec
-from repro.hardware.spec import PlatformSpec, realize
+from repro.hardware.platforms import SoCConfig
+from repro.hardware.registry import make_platform
 from repro.linalg.trace import NodeTrace, concat_node_traces
 from repro.runtime.executor import SELECTION_CYCLES_PER_VISIT
 from repro.runtime.scheduler import RuntimeFeatures, simulate_tree
@@ -57,9 +57,9 @@ class DesignPoint:
     llc_bytes: int = DEFAULT_LLC_BYTES
     dram_bytes_per_cycle: float = DEFAULT_DRAM_BYTES_PER_CYCLE
 
-    def spec(self) -> PlatformSpec:
-        """The SuperNoVA-family platform spec of this configuration."""
-        return platform_spec(
+    def spec(self) -> SoCConfig:
+        """The SuperNoVA-family platform of this configuration."""
+        return make_platform(
             f"SuperNoVA{self.accel_sets}S",
             systolic_dim=self.systolic_dim,
             cpu_tiles=self.cpu_tiles,
@@ -229,7 +229,7 @@ def autotune(workload: RecordedWorkload,
 
     # Every SuperNoVA-family config shares the Rocket host, so the
     # host-side analytic terms are computed once.
-    host = realize(points[0].spec()).host
+    host = points[0].spec().host
     relin_cycles = [host.relin_cycles(r.relinearized_factors)
                     for r in reports]
     fixed_seconds = sum(
@@ -275,7 +275,7 @@ def autotune(workload: RecordedWorkload,
         key = point.schedule_key
         if key in numeric_by_key:
             continue
-        soc = realize(replace(point, cpu_tiles=1).spec())
+        soc = replace(point, cpu_tiles=1).spec()
         pricing_keys.add(soc.pricing_key)
         seconds = 0.0
         for report, loose in zip(reports, loose_cycles):

@@ -1,4 +1,12 @@
-"""Platform cycle models.
+"""Platform cycle models: the one definition of a platform.
+
+Every model is a frozen dataclass whose fields are its parameters; the
+named platforms of the paper's evaluation are declared once, as model
+values, in :mod:`repro.hardware.registry`.  Construction validates the
+parameters (``ValueError`` naming the field), and the frozen type keeps
+them fixed afterwards, so the one shared instance
+:func:`~repro.hardware.registry.make_platform` hands out cannot be
+re-priced by any caller.
 
 All models implement two equivalent pricing paths over the trace
 vocabulary of :class:`repro.linalg.trace.OpKind`:
@@ -23,7 +31,8 @@ resulting latency ratios line up with the paper's Figure 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,6 +49,21 @@ from repro.linalg.trace import (
 )
 
 
+def _check(model, positive: Tuple[str, ...] = (),
+           non_negative: Tuple[str, ...] = ()) -> None:
+    """Raise ``ValueError`` naming the first field out of range (NaN is
+    out of every range)."""
+    for name in positive + non_negative:
+        value = getattr(model, name)
+        strict = name in positive
+        if not (value > 0 if strict else value >= 0):
+            raise ValueError(
+                f"{type(model).__name__}.{name} must be "
+                f"{'positive' if strict else 'non-negative'}, "
+                f"got {value!r}")
+
+
+@dataclass(frozen=True)
 class CpuModel:
     """A general-purpose core executing every op in software.
 
@@ -62,22 +86,23 @@ class CpuModel:
         (pipeline startup; pronounced on in-order cores).
     """
 
-    def __init__(self, name: str, frequency_hz: float,
-                 flops_per_cycle: float, mem_bytes_per_cycle: float,
-                 call_overhead: float, scatter_elems_per_cycle: float,
-                 relin_cycles_per_factor: float,
-                 symbolic_cycles_per_column: float,
-                 small_matrix_penalty: float = 8.0):
-        self.name = name
-        self.frequency_hz = float(frequency_hz)
-        self.flops_per_cycle = float(flops_per_cycle)
-        self.mem_bytes_per_cycle = float(mem_bytes_per_cycle)
-        self.call_overhead = float(call_overhead)
-        self.scatter_elems_per_cycle = float(scatter_elems_per_cycle)
-        self.relin_cycles_per_factor = float(relin_cycles_per_factor)
-        self.symbolic_cycles_per_column = float(symbolic_cycles_per_column)
-        self.small_matrix_penalty = float(small_matrix_penalty)
-        self._pricing_key_cache: Optional[Tuple] = None
+    name: str
+    frequency_hz: float
+    flops_per_cycle: float
+    mem_bytes_per_cycle: float
+    call_overhead: float
+    scatter_elems_per_cycle: float
+    relin_cycles_per_factor: float
+    symbolic_cycles_per_column: float
+    small_matrix_penalty: float = 8.0
+
+    def __post_init__(self) -> None:
+        _check(self,
+               positive=("frequency_hz", "flops_per_cycle",
+                         "mem_bytes_per_cycle", "scatter_elems_per_cycle",
+                         "relin_cycles_per_factor",
+                         "symbolic_cycles_per_column"),
+               non_negative=("call_overhead", "small_matrix_penalty"))
 
     def _throughput(self, op: Op) -> float:
         """Effective flops/cycle accounting for small-op startup."""
@@ -124,18 +149,11 @@ class CpuModel:
                 self.mem_bytes_per_cycle, self.call_overhead,
                 self.scatter_elems_per_cycle, self.small_matrix_penalty)
 
-    @property
+    @cached_property
     def pricing_key(self) -> Tuple:
-        """Hashable summary of every parameter ``price_ops`` reads.
-
-        Built once and cached: model parameters are treated as immutable
-        after construction (the platform factories always build fresh
-        instances).
-        """
-        key = self._pricing_key_cache
-        if key is None:
-            key = self._pricing_key_cache = self._build_pricing_key()
-        return key
+        """Hashable summary of every parameter ``price_ops`` reads
+        (built once; the model is frozen)."""
+        return self._build_pricing_key()
 
     def relin_cycles(self, num_factors: int) -> float:
         return self.relin_cycles_per_factor * num_factors
@@ -147,24 +165,21 @@ class CpuModel:
         return cycles / self.frequency_hz
 
 
+@dataclass(frozen=True)
 class GpuModel(CpuModel):
     """An embedded GPU: huge peak throughput, large per-kernel launch cost.
 
-    The launch overhead is the defining effect: on small frontal matrices
-    (CAB1) the GPU is no better than a mobile CPU (paper Section 6.1).
+    ``call_overhead`` is the kernel launch cost per op, the defining
+    effect: on small frontal matrices (CAB1) the GPU is no better than a
+    mobile CPU (paper Section 6.1).  ``occupancy_saturation`` is the
+    work-item count at which an op reaches peak throughput.
     """
 
-    def __init__(self, name: str, frequency_hz: float,
-                 flops_per_cycle: float, mem_bytes_per_cycle: float,
-                 kernel_launch_cycles: float,
-                 occupancy_saturation: float = 2048.0,
-                 **kwargs):
-        kwargs.setdefault("call_overhead", kernel_launch_cycles)
-        kwargs.setdefault("scatter_elems_per_cycle", 8.0)
-        super().__init__(name, frequency_hz, flops_per_cycle,
-                         mem_bytes_per_cycle, **kwargs)
-        self.kernel_launch_cycles = float(kernel_launch_cycles)
-        self.occupancy_saturation = float(occupancy_saturation)
+    occupancy_saturation: float = 2048.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check(self, positive=("occupancy_saturation",))
 
     def _throughput(self, op: Op) -> float:
         if op.kind in (OpKind.GEMM, OpKind.SYRK):
@@ -188,7 +203,7 @@ class GpuModel(CpuModel):
         return super()._build_pricing_key() + (self.occupancy_saturation,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComputeAccelerator:
     """COMP: systolic GEMM engine + transposer + Sparse Index Unroller.
 
@@ -203,6 +218,9 @@ class ComputeAccelerator:
     (``op_cycles_detailed``) that walks output tiles and applies a
     scratchpad-capacity reload penalty — useful when studying tile-size
     or scratchpad trade-offs.
+
+    ``kind_efficiency`` holds ``(OpKind.value, efficiency)`` pairs, in
+    the hashable form ``pricing_key`` embeds.
     """
 
     systolic_dim: int = 4
@@ -211,19 +229,30 @@ class ComputeAccelerator:
     scratchpad_bytes: int = 32 * 1024
     has_siu: bool = True
     siu_elems_per_cycle: float = 8.0  # packed scatter throughput
-    kind_efficiency: Dict[OpKind, float] = field(default_factory=lambda: {
-        OpKind.GEMM: 0.90,
-        OpKind.SYRK: 0.80,
-        OpKind.TRSM: 0.55,
-        OpKind.POTRF: 0.30,
-        OpKind.TRSV: 0.40,
-        OpKind.GEMV: 0.50,
-    })
-    # Lazy caches; parameters are treated as immutable after construction.
-    _denom_by_code: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False)
-    _pricing_key_cache: Optional[Tuple] = field(
-        default=None, init=False, repr=False, compare=False)
+    kind_efficiency: Tuple[Tuple[str, float], ...] = (
+        (OpKind.GEMM.value, 0.90),
+        (OpKind.GEMV.value, 0.50),
+        (OpKind.POTRF.value, 0.30),
+        (OpKind.SYRK.value, 0.80),
+        (OpKind.TRSM.value, 0.55),
+        (OpKind.TRSV.value, 0.40),
+    )
+
+    def __post_init__(self) -> None:
+        _check(self,
+               positive=("systolic_dim", "scratchpad_bytes",
+                         "siu_elems_per_cycle"),
+               non_negative=("rocc_overhead", "pipeline_depth"))
+        for kind, eff in self.kind_efficiency:
+            if not eff > 0:
+                raise ValueError(
+                    f"ComputeAccelerator.kind_efficiency[{kind!r}] must "
+                    f"be positive, got {eff!r}")
+
+    @cached_property
+    def _efficiency(self) -> Dict[OpKind, float]:
+        """``kind_efficiency`` keyed by :class:`OpKind` (scalar path)."""
+        return {OpKind(kind): eff for kind, eff in self.kind_efficiency}
 
     @property
     def macs_per_cycle(self) -> float:
@@ -241,7 +270,7 @@ class ComputeAccelerator:
             raise ValueError("COMP without SIU cannot scatter")
         if op.kind in (OpKind.MEMSET, OpKind.MEMCPY):
             raise ValueError("COMP does not execute memory ops")
-        eff = self.kind_efficiency[op.kind]
+        eff = self._efficiency[op.kind]
         # flops at 2 per MAC; pipeline fill per tile pass.
         tiles = max(1.0, op.dims[0] / self.systolic_dim)
         return (self.rocc_overhead
@@ -261,18 +290,15 @@ class ComputeAccelerator:
             supported = supported & (trace.kind_codes() != SCATTER_CODE)
         return supported
 
+    @cached_property
     def _denominators(self) -> np.ndarray:
         """``2 * macs_per_cycle * efficiency`` per kind code (NaN where
         the kind has no efficiency entry, so a missing kind prices to NaN
         — as loudly wrong as the scalar path's ``KeyError``)."""
-        denom = self._denom_by_code
-        if denom is None:
-            eff = np.full(len(KINDS), np.nan)
-            for kind, value in self.kind_efficiency.items():
-                eff[KIND_CODE[kind]] = value
-            denom = (2.0 * self.macs_per_cycle) * eff
-            self._denom_by_code = denom
-        return denom
+        eff = np.full(len(KINDS), np.nan)
+        for kind, value in self._efficiency.items():
+            eff[KIND_CODE[kind]] = value
+        return (2.0 * self.macs_per_cycle) * eff
 
     def price_ops(self, trace: NodeTrace) -> np.ndarray:
         """Per-op cycles, 0.0 on rows :meth:`supports_mask` excludes."""
@@ -282,7 +308,7 @@ class ComputeAccelerator:
         # NaN denominators propagate silently (finite / NaN -> NaN): no
         # errstate guard needed.
         cycles = (self.rocc_overhead
-                  + trace.flops_array() / self._denominators()[codes]
+                  + trace.flops_array() / self._denominators[codes]
                   + self.pipeline_depth * tiles)
         scatter = codes == SCATTER_CODE
         if scatter.any():
@@ -298,17 +324,11 @@ class ComputeAccelerator:
         cycles[trace.memory_mask()] = 0.0
         return cycles
 
-    @property
+    @cached_property
     def pricing_key(self) -> Tuple:
-        key = self._pricing_key_cache
-        if key is None:
-            key = self._pricing_key_cache = (
-                "COMP", self.systolic_dim, self.rocc_overhead,
-                self.pipeline_depth, self.has_siu,
-                self.siu_elems_per_cycle,
-                tuple(sorted((kind.value, eff) for kind, eff
-                             in self.kind_efficiency.items())))
-        return key
+        return ("COMP", self.systolic_dim, self.rocc_overhead,
+                self.pipeline_depth, self.has_siu, self.siu_elems_per_cycle,
+                self.kind_efficiency)
 
     # -- explicit tiled model ------------------------------------------
 
@@ -376,15 +396,16 @@ class ComputeAccelerator:
         return self.op_cycles(op)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryAccelerator:
-    """MEM: DMA engine with virtual channels for memcpy/memset."""
+    """MEM: DMA engine for memcpy/memset."""
 
     bytes_per_cycle: float = 32.0
-    virtual_channels: int = 4
     setup_overhead: float = 20.0      # VC configuration + request issue
-    _pricing_key_cache: Optional[Tuple] = field(
-        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check(self, positive=("bytes_per_cycle",),
+               non_negative=("setup_overhead",))
 
     def op_cycles(self, op: Op) -> float:
         if not op.is_memory_op:
@@ -405,18 +426,12 @@ class MemoryAccelerator:
             + trace.bytes_array()[memory] / self.bytes_per_cycle
         return cycles
 
-    @property
+    @cached_property
     def pricing_key(self) -> Tuple:
-        """Built once and cached, like the other models (parameters are
-        treated as immutable after construction)."""
-        key = self._pricing_key_cache
-        if key is None:
-            key = self._pricing_key_cache = (
-                "MEM", self.bytes_per_cycle, self.setup_overhead)
-        return key
+        return ("MEM", self.bytes_per_cycle, self.setup_overhead)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoCConfig:
     """A complete evaluated platform (paper Table 3 for SuperNoVA).
 
@@ -434,8 +449,12 @@ class SoCConfig:
     llc_bytes: int = 4 * 1024 * 1024
     dram_bytes_per_cycle: float = 64.0
     frequency_hz: float = 1.0e9
-    _pricing_key_cache: Optional[Tuple] = field(
-        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check(self,
+               positive=("cpu_tiles", "llc_bytes", "dram_bytes_per_cycle",
+                         "frequency_hz"),
+               non_negative=("accel_sets",))
 
     @property
     def has_accelerators(self) -> bool:
@@ -445,143 +464,21 @@ class SoCConfig:
     def offloads_memory_ops(self) -> bool:
         return self.has_accelerators and self.mem is not None
 
-    @property
+    @cached_property
     def pricing_key(self) -> Tuple:
         """Everything that determines how this SoC prices a single op.
 
         Two SoCs with equal keys produce identical per-node lane totals,
-        so :func:`repro.runtime.scheduler.node_cycles` can reuse cached
-        totals across the fresh-but-identical configs the platform
-        factories return (``supernova_soc(2)`` per call site).  Set
-        counts / LLC size / DRAM bandwidth affect scheduling, not per-op
-        pricing, and are deliberately excluded.  Built once and cached:
-        the platform models are treated as immutable after construction.
+        so :func:`repro.runtime.scheduler.node_cycles` reuses cached
+        totals across every platform that prices alike — the SuperNoVA
+        family members differ only in set counts, and autotuner designs
+        in LLC size, DRAM bandwidth or CPU tiles.  Those affect
+        scheduling, not per-op pricing, and are deliberately excluded.
         """
-        key = self._pricing_key_cache
-        if key is None:
-            key = self._pricing_key_cache = (
-                self.host.pricing_key,
+        return (self.host.pricing_key,
                 self.has_accelerators,
                 self.comp.pricing_key if self.has_accelerators else None,
                 self.mem.pricing_key if self.offloads_memory_ops else None)
-        return key
 
     def seconds(self, cycles: float) -> float:
         return cycles / self.frequency_hz
-
-
-# ----------------------------------------------------------------------
-# The seven evaluated platforms (paper Sections 5.1 and 5.4)
-#
-# These hand-written factories are the *reference* realizations: the
-# declarative registry (repro.hardware.registry) realizes the same
-# platforms from PlatformSpec data, and the gating equivalence test
-# (tests/test_registry_equivalence.py) pins both paths to equal
-# pricing_key and equal priced lane totals.  Harness code should go
-# through repro.hardware.registry.make_platform, which memoizes the
-# realization so identical requests share one model instance.
-# ----------------------------------------------------------------------
-
-def boom_cpu() -> SoCConfig:
-    """Out-of-order RISC-V core, Cortex-A72-class, 1 GHz (baseline 1)."""
-    host = CpuModel("BOOM", 1.0e9, flops_per_cycle=2.0,
-                    mem_bytes_per_cycle=8.0, call_overhead=25.0,
-                    scatter_elems_per_cycle=1.0,
-                    relin_cycles_per_factor=2500.0,
-                    symbolic_cycles_per_column=500.0,
-                    small_matrix_penalty=4.0)
-    return SoCConfig("BOOM", host=host, frequency_hz=1.0e9)
-
-
-def mobile_cpu() -> SoCConfig:
-    """ARM Cortex-A72 at 1.5 GHz on a Raspberry Pi 4 (baseline 2)."""
-    host = CpuModel("MobileCPU", 1.5e9, flops_per_cycle=2.0,
-                    mem_bytes_per_cycle=8.0, call_overhead=30.0,
-                    scatter_elems_per_cycle=1.0,
-                    relin_cycles_per_factor=2600.0,
-                    symbolic_cycles_per_column=520.0,
-                    small_matrix_penalty=4.0)
-    return SoCConfig("MobileCPU", host=host, frequency_hz=1.5e9)
-
-
-def mobile_dsp() -> SoCConfig:
-    """Neon SIMD on the mobile CPU (baseline 3): 4-wide fp32 FMA."""
-    host = CpuModel("MobileDSP", 1.5e9, flops_per_cycle=8.0,
-                    mem_bytes_per_cycle=16.0, call_overhead=40.0,
-                    scatter_elems_per_cycle=2.0,
-                    relin_cycles_per_factor=2200.0,
-                    symbolic_cycles_per_column=520.0,
-                    small_matrix_penalty=10.0)
-    return SoCConfig("MobileDSP", host=host, frequency_hz=1.5e9)
-
-
-def server_cpu() -> SoCConfig:
-    """Intel Xeon E5-2643 at 3.5 GHz (baseline 4): wide AVX, deep OoO."""
-    host = CpuModel("ServerCPU", 3.5e9, flops_per_cycle=7.0,
-                    mem_bytes_per_cycle=24.0, call_overhead=60.0,
-                    scatter_elems_per_cycle=2.5,
-                    relin_cycles_per_factor=1100.0,
-                    symbolic_cycles_per_column=300.0,
-                    small_matrix_penalty=18.0)
-    return SoCConfig("ServerCPU", host=host, frequency_hz=3.5e9)
-
-
-def embedded_gpu() -> SoCConfig:
-    """Jetson Nano Maxwell GPU (baseline 5): cuSparse/cuSolver-style.
-
-    The A57 host handles non-numeric work; every numeric op pays a kernel
-    launch.
-    """
-    # Launch cost reflects batched/streamed kernels (cuSolver-style):
-    # amortized per op, not a full synchronous launch each time.
-    host = GpuModel("EmbeddedGPU", 0.92e9, flops_per_cycle=256.0,
-                    mem_bytes_per_cycle=28.0,
-                    kernel_launch_cycles=400.0,
-                    occupancy_saturation=2048.0,
-                    relin_cycles_per_factor=2400.0,
-                    symbolic_cycles_per_column=600.0)
-    return SoCConfig("EmbeddedGPU", host=host, frequency_hz=0.92e9)
-
-
-def rocket_cpu() -> CpuModel:
-    """In-order Rocket host tile used inside the SuperNoVA/Spatula SoCs."""
-    return CpuModel("Rocket", 1.0e9, flops_per_cycle=1.0,
-                    mem_bytes_per_cycle=8.0, call_overhead=20.0,
-                    scatter_elems_per_cycle=0.5,
-                    relin_cycles_per_factor=2200.0,
-                    symbolic_cycles_per_column=350.0,
-                    small_matrix_penalty=6.0)
-
-
-def supernova_soc(accel_sets: int = 2) -> SoCConfig:
-    """The SuperNoVA SoC (paper Table 3): COMP+MEM sets + Rocket hosts."""
-    return SoCConfig(
-        f"SuperNoVA{accel_sets}S",
-        host=rocket_cpu(),
-        accel_sets=accel_sets,
-        cpu_tiles=accel_sets,
-        comp=ComputeAccelerator(has_siu=True),
-        mem=MemoryAccelerator(),
-        llc_bytes=4 * 1024 * 1024,
-        dram_bytes_per_cycle=64.0,
-        frequency_hz=1.0e9,
-    )
-
-
-def spatula_soc(accel_sets: int = 2) -> SoCConfig:
-    """Spatula baseline: vanilla GEMM accelerators, no SIU, no MEM.
-
-    Scatter and memory management fall back on the Rocket host and
-    serialize with compute (paper Section 6.1's co-design comparison).
-    """
-    return SoCConfig(
-        f"Spatula{accel_sets}S",
-        host=rocket_cpu(),
-        accel_sets=accel_sets,
-        cpu_tiles=accel_sets,
-        comp=ComputeAccelerator(has_siu=False),
-        mem=None,
-        llc_bytes=4 * 1024 * 1024,
-        dram_bytes_per_cycle=64.0,
-        frequency_hz=1.0e9,
-    )

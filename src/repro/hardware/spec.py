@@ -1,216 +1,58 @@
-"""Declarative platform specifications (paper Section 4.2).
+"""Platform overrides and interning (paper Section 4.2).
 
 The paper's configurability claim — "SoC components, including the
 accelerator configuration and the number of accelerators and CPU tiles,
-are all configurable at design time" — is expressed here as *data*: a
-:class:`PlatformSpec` is a frozen, hashable dataclass that fully
-describes an evaluated platform (host coefficients, COMP/MEM
-coefficients, set/tile counts, LLC, DRAM bandwidth, clock).
+are all configurable at design time" — is expressed as data: a platform
+is one frozen :class:`~repro.hardware.platforms.SoCConfig` value, and a
+design variant is that value with some fields replaced
+(:func:`apply_overrides`).
 
-:func:`realize` turns a spec into the cycle-accurate model objects of
-:mod:`repro.hardware.platforms` and memoizes the result: identical specs
-share one realized :class:`~repro.hardware.platforms.SoCConfig`, so the
-per-trace lane memoization in :func:`repro.runtime.scheduler.node_cycles`
-(keyed by ``pricing_key``) hits across every call site that asks for the
-same platform.  The realized models are **bit-identical** to the
-hand-written factories in :mod:`repro.hardware.platforms` — the CI
-equivalence gate (``tests/test_registry_equivalence.py``) pins the two
-paths together on every named platform.
-
-The named spec table lives in :mod:`repro.hardware.registry`; the
-design-space autotuner (:mod:`repro.hardware.autotune`) sweeps grids of
-specs derived from these with :func:`dataclasses.replace`.
+:func:`realize` interns platforms: equal configurations share one
+instance, so its cached ``pricing_key`` is built once and the per-trace
+lane memoization in :func:`repro.runtime.scheduler.node_cycles` hits
+across every call site that asks for the same platform.  The named
+platforms live in :mod:`repro.hardware.registry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import lru_cache
-from typing import Optional, Tuple
 
-from repro.linalg.trace import OpKind
-from repro.hardware.platforms import (
-    ComputeAccelerator,
-    CpuModel,
-    GpuModel,
-    MemoryAccelerator,
-    SoCConfig,
-)
+from repro.hardware.platforms import ComputeAccelerator, SoCConfig
+
+_SOC_FIELDS = frozenset(f.name for f in fields(SoCConfig))
+_COMP_FIELDS = frozenset(f.name for f in fields(ComputeAccelerator))
 
 
-@dataclass(frozen=True)
-class HostSpec:
-    """Coefficients of a general-purpose host core.
+def apply_overrides(soc: SoCConfig, **overrides) -> SoCConfig:
+    """Return ``soc`` with override fields replaced.
 
-    ``kernel_launch_cycles`` switches the realized model: ``None``
-    realizes a :class:`~repro.hardware.platforms.CpuModel`, a value
-    realizes a :class:`~repro.hardware.platforms.GpuModel` with that
-    launch cost (``occupancy_saturation`` is only read in that case).
+    :class:`SoCConfig` field names replace directly (``accel_sets=4``,
+    ``llc_bytes=1 << 20``, ``host=CpuModel(...)``);
+    :class:`ComputeAccelerator` field names (``systolic_dim``,
+    ``scratchpad_bytes``, ``has_siu``, ...) are routed into the COMP
+    model, which must exist.  Unknown keys raise ``TypeError``; values
+    out of range raise ``ValueError`` from the models' checks.
     """
-
-    name: str
-    frequency_hz: float
-    flops_per_cycle: float
-    mem_bytes_per_cycle: float
-    call_overhead: float
-    scatter_elems_per_cycle: float
-    relin_cycles_per_factor: float
-    symbolic_cycles_per_column: float
-    small_matrix_penalty: float = 8.0
-    kernel_launch_cycles: Optional[float] = None
-    occupancy_saturation: float = 2048.0
-
-
-#: Default per-kind COMP efficiencies, as a hashable sorted tuple of
-#: ``(OpKind.value, efficiency)`` — the declarative twin of
-#: ``ComputeAccelerator.kind_efficiency``.
-DEFAULT_KIND_EFFICIENCY: Tuple[Tuple[str, float], ...] = tuple(sorted({
-    OpKind.GEMM.value: 0.90,
-    OpKind.SYRK.value: 0.80,
-    OpKind.TRSM.value: 0.55,
-    OpKind.POTRF.value: 0.30,
-    OpKind.TRSV.value: 0.40,
-    OpKind.GEMV.value: 0.50,
-}.items()))
-
-
-@dataclass(frozen=True)
-class CompSpec:
-    """COMP accelerator coefficients (systolic array + SIU)."""
-
-    systolic_dim: int = 4
-    rocc_overhead: float = 40.0
-    pipeline_depth: float = 16.0
-    scratchpad_bytes: int = 32 * 1024
-    has_siu: bool = True
-    siu_elems_per_cycle: float = 8.0
-    kind_efficiency: Tuple[Tuple[str, float], ...] = DEFAULT_KIND_EFFICIENCY
-
-
-@dataclass(frozen=True)
-class MemSpec:
-    """MEM accelerator coefficients (DMA engine)."""
-
-    bytes_per_cycle: float = 32.0
-    virtual_channels: int = 4
-    setup_overhead: float = 20.0
-
-
-@dataclass(frozen=True)
-class PlatformSpec:
-    """A complete platform as data (everything the factories hard-code)."""
-
-    name: str
-    host: HostSpec
-    accel_sets: int = 0
-    cpu_tiles: int = 1
-    comp: Optional[CompSpec] = None
-    mem: Optional[MemSpec] = None
-    llc_bytes: int = 4 * 1024 * 1024
-    dram_bytes_per_cycle: float = 64.0
-    frequency_hz: float = 1.0e9
-
-
-#: Spec fields the convenience override path (``make_platform(name,
-#: systolic_dim=8)``) routes into the nested COMP spec.
-_COMP_SHORTCUTS = frozenset(
-    f.name for f in fields(CompSpec))
-_TOP_LEVEL = frozenset(f.name for f in fields(PlatformSpec))
-
-
-def apply_overrides(spec: PlatformSpec, **overrides) -> PlatformSpec:
-    """Return ``spec`` with override fields replaced.
-
-    Top-level :class:`PlatformSpec` field names replace directly
-    (``accel_sets=4``, ``llc_bytes=1 << 20``, ``host=HostSpec(...)``);
-    :class:`CompSpec` field names (``systolic_dim``, ``scratchpad_bytes``,
-    ``has_siu``, ...) are routed into the nested COMP spec, which must
-    exist.  Unknown keys raise ``TypeError``.
-    """
-    top = {k: v for k, v in overrides.items() if k in _TOP_LEVEL}
-    comp = {k: v for k, v in overrides.items()
-            if k in _COMP_SHORTCUTS and k not in _TOP_LEVEL}
+    top = {k: v for k, v in overrides.items() if k in _SOC_FIELDS}
+    comp = {k: v for k, v in overrides.items() if k in _COMP_FIELDS}
     unknown = set(overrides) - set(top) - set(comp)
     if unknown:
         raise TypeError(
             f"unknown platform override(s) {sorted(unknown)}; valid keys "
-            f"are {sorted(_TOP_LEVEL | _COMP_SHORTCUTS)}")
+            f"are {sorted(_SOC_FIELDS | _COMP_FIELDS)}")
     if comp:
-        if spec.comp is None and "comp" not in top:
+        base_comp = top.get("comp", soc.comp)
+        if base_comp is None:
             raise TypeError(
-                f"overrides {sorted(comp)} target the COMP spec, but "
-                f"platform {spec.name!r} has no COMP accelerator")
-        base_comp = top.get("comp", spec.comp)
+                f"overrides {sorted(comp)} target the COMP model, but "
+                f"platform {soc.name!r} has no COMP accelerator")
         top["comp"] = replace(base_comp, **comp)
-    return replace(spec, **top) if top else spec
-
-
-def _realize_host(spec: HostSpec) -> CpuModel:
-    if spec.kernel_launch_cycles is not None:
-        return GpuModel(
-            spec.name, spec.frequency_hz,
-            flops_per_cycle=spec.flops_per_cycle,
-            mem_bytes_per_cycle=spec.mem_bytes_per_cycle,
-            kernel_launch_cycles=spec.kernel_launch_cycles,
-            occupancy_saturation=spec.occupancy_saturation,
-            call_overhead=spec.call_overhead,
-            scatter_elems_per_cycle=spec.scatter_elems_per_cycle,
-            relin_cycles_per_factor=spec.relin_cycles_per_factor,
-            symbolic_cycles_per_column=spec.symbolic_cycles_per_column,
-            small_matrix_penalty=spec.small_matrix_penalty)
-    return CpuModel(
-        spec.name, spec.frequency_hz,
-        flops_per_cycle=spec.flops_per_cycle,
-        mem_bytes_per_cycle=spec.mem_bytes_per_cycle,
-        call_overhead=spec.call_overhead,
-        scatter_elems_per_cycle=spec.scatter_elems_per_cycle,
-        relin_cycles_per_factor=spec.relin_cycles_per_factor,
-        symbolic_cycles_per_column=spec.symbolic_cycles_per_column,
-        small_matrix_penalty=spec.small_matrix_penalty)
-
-
-def _realize_comp(spec: CompSpec) -> ComputeAccelerator:
-    return ComputeAccelerator(
-        systolic_dim=spec.systolic_dim,
-        rocc_overhead=spec.rocc_overhead,
-        pipeline_depth=spec.pipeline_depth,
-        scratchpad_bytes=spec.scratchpad_bytes,
-        has_siu=spec.has_siu,
-        siu_elems_per_cycle=spec.siu_elems_per_cycle,
-        kind_efficiency={OpKind(value): eff
-                         for value, eff in spec.kind_efficiency})
-
-
-def _realize_mem(spec: MemSpec) -> MemoryAccelerator:
-    return MemoryAccelerator(
-        bytes_per_cycle=spec.bytes_per_cycle,
-        virtual_channels=spec.virtual_channels,
-        setup_overhead=spec.setup_overhead)
+    return replace(soc, **top) if top else soc
 
 
 @lru_cache(maxsize=None)
-def realize(spec: PlatformSpec) -> SoCConfig:
-    """Memoized spec -> :class:`SoCConfig` realization.
-
-    Identical specs return the *same* model instance; the platform
-    models are treated as immutable after construction (already the
-    contract of their ``pricing_key`` caches), so sharing is safe and
-    makes every per-``pricing_key`` memo in the runtime hit across call
-    sites.
-    """
-    return SoCConfig(
-        spec.name,
-        host=_realize_host(spec.host),
-        accel_sets=spec.accel_sets,
-        cpu_tiles=spec.cpu_tiles,
-        comp=_realize_comp(spec.comp) if spec.comp is not None else None,
-        mem=_realize_mem(spec.mem) if spec.mem is not None else None,
-        llc_bytes=spec.llc_bytes,
-        dram_bytes_per_cycle=spec.dram_bytes_per_cycle,
-        frequency_hz=spec.frequency_hz,
-    )
-
-
-def realization_cache_info():
-    """Hit/miss counters of the spec->model memo (observability)."""
-    return realize.cache_info()
+def realize(soc: SoCConfig) -> SoCConfig:
+    """The one shared instance equal to ``soc`` (interning)."""
+    return soc

@@ -405,12 +405,6 @@ class NodeTrace:
         self._dims.extend(other._dims)
         self._version += 1
 
-    def split(self) -> Tuple[List[Op], List[Op]]:
-        """Partition into (compute ops, memory ops) for COMP/MEM overlap."""
-        compute = [op for op in self.ops if not op.is_memory_op]
-        memory = [op for op in self.ops if op.is_memory_op]
-        return compute, memory
-
     @property
     def workspace_bytes(self) -> int:
         """Frontal workspace footprint (paper Algorithm 2's calc_space)."""

@@ -12,6 +12,7 @@ from typing import Dict, Tuple
 
 from repro.hardware.platforms import SoCConfig
 from repro.linalg.trace import NodeTrace, OpKind
+from repro.runtime.executor import SELECTION_CYCLES_PER_VISIT
 from repro.runtime.scheduler import RuntimeFeatures, node_cycles, \
     node_duration
 from repro.validate import current_auditor
@@ -123,7 +124,6 @@ class NodeCostModel:
         return self.soc.host.seconds(
             self.soc.host.symbolic_cycles(num_columns))
 
-    def selection_seconds(self, num_visits: int,
-                          cycles_per_visit: float = 60.0) -> float:
+    def selection_seconds(self, num_visits: int) -> float:
         """Cost of the RA-ISAM2 selection pass itself (<= 2 visits/node)."""
-        return self.soc.host.seconds(num_visits * cycles_per_visit)
+        return self.soc.host.seconds(num_visits * SELECTION_CYCLES_PER_VISIT)

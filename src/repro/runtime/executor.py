@@ -20,8 +20,9 @@ from repro.runtime.scheduler import (
 )
 from repro.solvers.base import StepReport
 
-#: Cycles per candidate visited by the RA-ISAM2 selection pass; shared
-#: with the design-space autotuner so replayed totals match priced ones.
+#: Cycles per candidate visited by the RA-ISAM2 selection pass; the one
+#: value the executor, the cost model and the design-space autotuner
+#: read, so replayed, predicted and priced totals agree.
 SELECTION_CYCLES_PER_VISIT = 60.0
 
 
@@ -71,7 +72,6 @@ def execute_step(
     soc: SoCConfig,
     parents: Optional[Dict[int, Optional[int]]] = None,
     features: RuntimeFeatures = RuntimeFeatures.all(),
-    selection_cycles_per_visit: float = SELECTION_CYCLES_PER_VISIT,
 ) -> StepLatency:
     """Price one solver step on a platform.
 
@@ -100,7 +100,7 @@ def execute_step(
                          / max(1, soc.cpu_tiles))
     symbolic = host.seconds(host.symbolic_cycles(report.affected_columns))
     overhead = host.seconds(
-        report.selection_visits * selection_cycles_per_visit)
+        report.selection_visits * SELECTION_CYCLES_PER_VISIT)
 
     utilization = 0.0
     if report.trace is None or not report.trace.nodes:

@@ -192,10 +192,6 @@ def node_duration(comp: float, mem: float, host: float, sets: int,
     return scaled + mem + host
 
 
-#: Backwards-compatible alias (pre-refactor private name).
-_node_duration = node_duration
-
-
 def sequential_cycles(traces: List[NodeTrace], soc: SoCConfig) -> float:
     """Numeric cycles with no accelerators/parallelism: every op on host.
 

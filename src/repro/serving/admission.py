@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.budget import StepBudget
-
 
 class OverloadController:
     """EWMA latency tracker that maps overload into a relin scale.
@@ -83,13 +81,3 @@ class OverloadController:
         else:
             self.relin_scale = min(1.0, self.relin_scale * self.recover)
         return self.relin_scale
-
-    def fleet_budget(self, active_sessions: int,
-                     safety: float = 0.85) -> StepBudget:
-        """The fleet-level round budget the per-session scales feed on:
-        one per-session target per active session, already shrunk to the
-        current degradation scale."""
-        budget = StepBudget(
-            self.target_seconds * max(1, int(active_sessions)), safety)
-        budget.scale_optional(self.relin_scale)
-        return budget

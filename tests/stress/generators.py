@@ -16,13 +16,7 @@ from repro.datasets.pose_graph import PoseGraphDataset, TimeStep
 from repro.factorgraph.factors import BetweenFactorSE2, PriorFactorSE2
 from repro.factorgraph.noise import IsotropicNoise
 from repro.geometry.se2 import SE2
-from repro.hardware import (
-    boom_cpu,
-    embedded_gpu,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
-)
+from repro.hardware import make_platform
 from repro.linalg.trace import NodeTrace, OpKind
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import RuntimeFeatures
@@ -84,17 +78,19 @@ def random_soc(rng):
     """A platform, with the LLC sometimes shrunk to force rejections."""
     choice = rng.random()
     if choice < 0.55:
-        soc = supernova_soc(int(rng.integers(1, 5)))
+        name = f"SuperNoVA{int(rng.integers(1, 5))}S"
     elif choice < 0.75:
-        soc = spatula_soc(int(rng.integers(1, 3)))
+        name = f"Spatula{int(rng.integers(1, 3))}S"
     elif choice < 0.85:
-        soc = boom_cpu()
+        name = "BOOM"
     elif choice < 0.95:
-        soc = server_cpu()
+        name = "ServerCPU"
     else:
-        soc = embedded_gpu()
+        name = "EmbeddedGPU"
+    soc = make_platform(name)
     if soc.has_accelerators and rng.random() < 0.5:
-        soc.llc_bytes = int(rng.integers(1 << 14, 1 << 23))
+        soc = make_platform(
+            name, llc_bytes=int(rng.integers(1 << 14, 1 << 23)))
     return soc
 
 
@@ -159,8 +155,8 @@ def solver_config(seed):
     """(dataset, soc, target_seconds, policy) for one audited run."""
     rng = rng_of(seed)
     dataset = random_chain_dataset(rng)
-    soc = supernova_soc(int(rng.integers(1, 5))) \
-        if rng.random() < 0.7 else boom_cpu()
+    soc = make_platform(f"SuperNoVA{int(rng.integers(1, 5))}S") \
+        if rng.random() < 0.7 else make_platform("BOOM")
     # Spread targets from starved (defer everything) to roomy.
     target = float(rng.choice([1e-6, 1e-4, 1e-3, 1.0 / 30.0, 1.0]))
     policy = str(rng.choice(["relevance", "fifo", "random"]))

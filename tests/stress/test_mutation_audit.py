@@ -17,7 +17,7 @@ import pytest
 
 import repro.runtime.scheduler as scheduler_module
 from repro.core.budget import StepBudget
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.runtime import NodeCostModel, simulate_tree
 from repro.validate import InvariantViolation, audited
 
@@ -169,7 +169,7 @@ class TestBudgetMutant:
 
 class TestCostModelMutant:
     def test_corrupted_memo_is_detected(self):
-        model = NodeCostModel(supernova_soc(2))
+        model = NodeCostModel(make_platform("SuperNoVA2S"))
         clean = model.node_seconds(12, 8, 3)
         key = (12, 8, 3)
         model._node_seconds[key] = clean * 1.5   # seeded corruption
@@ -179,7 +179,7 @@ class TestCostModelMutant:
         assert excinfo.value.invariant == "cost-memo-consistent"
 
     def test_intact_memo_passes_clean(self):
-        model = NodeCostModel(supernova_soc(2))
+        model = NodeCostModel(make_platform("SuperNoVA2S"))
         clean = model.node_seconds(12, 8, 3)
         with audited():
             assert model.node_seconds(12, 8, 3) == clean

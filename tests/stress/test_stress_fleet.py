@@ -17,7 +17,7 @@ import os
 from repro.core import RAISAM2
 from repro.factorgraph.factors import BetweenFactorSE2
 from repro.geometry.se2 import SE2
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.runtime.cost_model import NodeCostModel
 from repro.serving import FleetConfig, SessionFleet
 from repro.solvers.isam2 import ISAM2
@@ -52,7 +52,7 @@ def _random_fleet(rng, degrade_floor: float = 1e-12):
     for sid in range(num_sessions):
         if rng.random() < 0.4:
             solver = RAISAM2(
-                NodeCostModel(supernova_soc(1)),
+                NodeCostModel(make_platform("SuperNoVA1S")),
                 target_seconds=float(rng.choice([1e-4, 1.0 / 30.0, 1.0])))
         else:
             solver = ISAM2(relin_threshold=float(

@@ -13,8 +13,8 @@ from repro.hardware.autotune import (
     default_grid,
     pareto_mask,
 )
-from repro.hardware.registry import platform_spec
-from repro.hardware.spec import apply_overrides, realize
+from repro.hardware.registry import make_platform
+from repro.hardware.spec import apply_overrides
 from repro.linalg.trace import OpKind, OpTrace
 from repro.runtime.executor import execute_step
 from repro.runtime.scheduler import LANE_CACHE_STATS
@@ -88,21 +88,21 @@ class TestParetoMask:
 
 class TestOverrides:
     def test_comp_shortcut_routes_into_comp_spec(self):
-        spec = platform_spec("SuperNoVA2S", systolic_dim=8)
-        assert spec.comp.systolic_dim == 8
-        assert spec.accel_sets == 2
+        soc = make_platform("SuperNoVA2S", systolic_dim=8)
+        assert soc.comp.systolic_dim == 8
+        assert soc.accel_sets == 2
 
     def test_unknown_key_raises(self):
         with pytest.raises(TypeError, match="unknown platform override"):
-            platform_spec("SuperNoVA2S", systolic=8)
+            make_platform("SuperNoVA2S", systolic=8)
 
     def test_comp_override_on_cpu_platform_raises(self):
         with pytest.raises(TypeError, match="no COMP accelerator"):
-            platform_spec("ServerCPU", systolic_dim=8)
+            make_platform("ServerCPU", systolic_dim=8)
 
     def test_no_overrides_returns_same_spec(self):
-        spec = platform_spec("SuperNoVA2S")
-        assert apply_overrides(spec) is spec
+        soc = make_platform("SuperNoVA2S")
+        assert apply_overrides(soc) is soc
 
 
 class TestGridCollapse:
@@ -145,7 +145,7 @@ class TestAgainstExecuteStep:
         ]
         result = autotune(workload, grid=points)
         for i, point in enumerate(points):
-            soc = realize(point.spec())
+            soc = point.spec()
             expected = sum(
                 execute_step(r, soc, r.node_parents).total
                 for r in workload.steps)

@@ -107,3 +107,15 @@ class TestAutotune:
                      "--llc-kib", "4096", "--dram", "64",
                      "--max-area-um2", "1.0"]) == 1
         assert "no configuration satisfies" in capsys.readouterr().out
+
+    def test_invalid_axis_rejected_before_recording(self, monkeypatch):
+        import repro.experiments.autotune_report as report
+
+        def record(*args, **kwargs):
+            raise AssertionError("workload recorded before validation")
+
+        monkeypatch.setattr(report, "autotune_dataset", record)
+        with pytest.raises(ValueError, match="systolic_dim"):
+            main(["autotune", "--dataset", "CAB1",
+                  "--dims", "-4", "--sets", "2", "--tiles", "2",
+                  "--llc-kib", "4096", "--dram", "64"])

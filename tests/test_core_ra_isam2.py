@@ -8,7 +8,7 @@ from repro.core import RAISAM2, RelinCostEstimator, StepBudget, \
 from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
     PriorFactorSE2
 from repro.geometry import SE2
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.runtime import NodeCostModel, execute_step
@@ -55,7 +55,7 @@ class TestRelevanceScores:
 
 class TestRelinCostEstimator:
     def make(self, engine, sets=1):
-        model = NodeCostModel(supernova_soc(sets))
+        model = NodeCostModel(make_platform(f"SuperNoVA{sets}S"))
         return RelinCostEstimator(engine, model)
 
     def test_cost_positive(self):
@@ -171,7 +171,7 @@ class TestRAISAM2:
         return reports
 
     def make_solver(self, target=1.0 / 30.0, sets=2, **kwargs):
-        model = NodeCostModel(supernova_soc(sets))
+        model = NodeCostModel(make_platform(f"SuperNoVA{sets}S"))
         return RAISAM2(model, target_seconds=target, **kwargs)
 
     def test_reports_have_selection_stats(self):
@@ -247,7 +247,7 @@ class TestRAISAM2:
 
     def test_latency_meets_target(self):
         # Realized simulated latency stays under the target.
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         model = NodeCostModel(soc)
         solver = RAISAM2(model, target_seconds=1.0 / 30.0)
         rng = np.random.default_rng(2)

@@ -206,9 +206,9 @@ class TestRunOnline:
         assert len(run.reports) == 20
 
     def test_latency_collection_with_soc(self):
-        from repro.hardware import supernova_soc
+        from repro.hardware import make_platform
         data = manhattan_dataset(scale=0.02)
-        run = run_online(ISAM2(), data, soc=supernova_soc(2),
+        run = run_online(ISAM2(), data, soc=make_platform("SuperNoVA2S"),
                          collect_errors=False)
         assert len(run.latencies) == data.num_steps
         assert all(lat.total > 0 for lat in run.latencies)

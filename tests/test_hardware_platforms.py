@@ -1,5 +1,7 @@
 """Tests for the platform cycle models, area and power tables."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.hardware import (
@@ -8,19 +10,12 @@ from repro.hardware import (
     MemoryAccelerator,
     PowerModel,
     area_summary,
-    boom_cpu,
     comp_tile_area,
-    embedded_gpu,
-    mobile_cpu,
-    mobile_dsp,
+    make_platform,
     peak_watts,
     platform_area,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
 )
 from repro.hardware.power import SUPERNOVA_PEAK_W
-from repro.hardware.registry import platform_spec
 from repro.linalg.trace import Op, OpKind
 
 GEMM_BIG = Op(OpKind.GEMM, (64, 64, 64))
@@ -31,26 +26,26 @@ SCATTER = Op(OpKind.SCATTER_ADD, (12, 12))
 
 class TestCpuModels:
     def test_server_faster_than_boom_on_big_gemm(self):
-        boom = boom_cpu()
-        server = server_cpu()
+        boom = make_platform("BOOM")
+        server = make_platform("ServerCPU")
         t_boom = boom.seconds(boom.host.op_cycles(GEMM_BIG))
         t_server = server.seconds(server.host.op_cycles(GEMM_BIG))
         assert t_server < t_boom / 5
 
     def test_dsp_beats_mobile_cpu_on_big_gemm(self):
-        dsp = mobile_dsp()
-        cpu = mobile_cpu()
+        dsp = make_platform("MobileDSP")
+        cpu = make_platform("MobileCPU")
         assert dsp.host.op_cycles(GEMM_BIG) < cpu.host.op_cycles(GEMM_BIG)
 
     def test_small_matrix_penalty(self):
-        host = server_cpu().host
+        host = make_platform("ServerCPU").host
         # Effective throughput on a tiny GEMM is far below peak.
         cycles = host.op_cycles(GEMM_TINY)
         ideal = GEMM_TINY.flops / host.flops_per_cycle
         assert cycles > 3 * ideal
 
     def test_relin_and_symbolic_rates(self):
-        host = boom_cpu().host
+        host = make_platform("BOOM").host
         assert host.relin_cycles(10) == 10 * host.relin_cycles_per_factor
         assert host.symbolic_cycles(4) == \
             4 * host.symbolic_cycles_per_column
@@ -58,13 +53,13 @@ class TestCpuModels:
 
 class TestGpuModel:
     def test_launch_overhead_dominates_small_ops(self):
-        gpu = embedded_gpu().host
+        gpu = make_platform("EmbeddedGPU").host
         cycles = gpu.op_cycles(GEMM_TINY)
-        assert cycles >= gpu.kernel_launch_cycles
+        assert cycles >= gpu.call_overhead
 
     def test_gpu_wins_big_loses_small_vs_dsp(self):
-        gpu = embedded_gpu()
-        dsp = mobile_dsp()
+        gpu = make_platform("EmbeddedGPU")
+        dsp = make_platform("MobileDSP")
         huge = Op(OpKind.GEMM, (256, 256, 256))
         t_gpu_big = gpu.seconds(gpu.host.op_cycles(huge))
         t_dsp_big = dsp.seconds(dsp.host.op_cycles(huge))
@@ -120,7 +115,7 @@ class TestMemoryAccelerator:
             mem.op_cycles(GEMM_BIG)
 
     def test_mem_beats_host_cpu_on_memcpy(self):
-        soc = supernova_soc()
+        soc = make_platform("SuperNoVA2S")
         assert soc.mem.op_cycles(MEMCPY) < soc.host.op_cycles(MEMCPY)
 
     def test_pricing_key_cached(self):
@@ -133,25 +128,83 @@ class TestMemoryAccelerator:
 
 class TestSoCConfigs:
     def test_supernova_has_both_accels(self):
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         assert soc.has_accelerators
         assert soc.offloads_memory_ops
         assert soc.accel_sets == 2
 
     def test_spatula_no_mem_no_siu(self):
-        soc = spatula_soc(2)
+        soc = make_platform("Spatula2S")
         assert soc.has_accelerators
         assert not soc.offloads_memory_ops
         assert not soc.comp.has_siu
 
     def test_baselines_have_no_accels(self):
-        for factory in (boom_cpu, mobile_cpu, mobile_dsp, server_cpu,
-                        embedded_gpu):
-            assert not factory().has_accelerators
+        for name in ("BOOM", "MobileCPU", "MobileDSP", "ServerCPU",
+                     "EmbeddedGPU"):
+            assert not make_platform(name).has_accelerators
 
     def test_seconds_conversion(self):
-        soc = supernova_soc()
+        soc = make_platform("SuperNoVA2S")
         assert soc.seconds(1.0e9) == pytest.approx(1.0)
+
+    def test_platforms_are_immutable(self):
+        # The registry hands every caller one shared instance; an edit
+        # would re-price every other caller's steps under a stale key.
+        soc = make_platform("SuperNoVA2S")
+        with pytest.raises(FrozenInstanceError):
+            soc.llc_bytes = 1 << 20
+        with pytest.raises(FrozenInstanceError):
+            soc.comp.systolic_dim = 16
+        with pytest.raises(FrozenInstanceError):
+            soc.host.call_overhead = 0.0
+        assert make_platform("SuperNoVA2S").comp.systolic_dim == 4
+
+
+class TestValidation:
+    """Out-of-range parameters raise ``ValueError`` naming the field."""
+
+    def test_zero_systolic_dim(self):
+        with pytest.raises(ValueError, match="systolic_dim"):
+            make_platform("SuperNoVA2S", systolic_dim=0)
+
+    def test_negative_accel_sets(self):
+        with pytest.raises(ValueError, match="accel_sets"):
+            make_platform("SuperNoVA2S", accel_sets=-1)
+
+    def test_negative_llc(self):
+        with pytest.raises(ValueError, match="llc_bytes"):
+            make_platform("SuperNoVA2S", llc_bytes=-5)
+
+    def test_zero_dram_bandwidth(self):
+        with pytest.raises(ValueError, match="dram_bytes_per_cycle"):
+            make_platform("SuperNoVA2S", dram_bytes_per_cycle=0)
+
+    def test_zero_set_family_member(self):
+        with pytest.raises(ValueError, match="cpu_tiles"):
+            make_platform("SuperNoVA0S")
+
+    @pytest.mark.parametrize("model, kwargs", [
+        (ComputeAccelerator, {"rocc_overhead": -1.0}),
+        (ComputeAccelerator, {"kind_efficiency": (("gemm", 0.0),)}),
+        (MemoryAccelerator, {"bytes_per_cycle": float("nan")}),
+        (MemoryAccelerator, {"setup_overhead": -1.0}),
+    ], ids=["rocc_overhead", "kind_efficiency", "bytes_per_cycle",
+            "setup_overhead"])
+    def test_model_fields(self, model, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
+            model(**kwargs)
+
+    def test_host_fields(self):
+        host = make_platform("BOOM").host
+        with pytest.raises(ValueError, match="frequency_hz"):
+            replace(host, frequency_hz=0.0)
+        with pytest.raises(ValueError, match="call_overhead"):
+            replace(host, call_overhead=-1.0)
+        gpu = make_platform("EmbeddedGPU").host
+        with pytest.raises(ValueError, match="occupancy_saturation"):
+            replace(gpu, occupancy_saturation=0.0)
 
 
 class TestArea:
@@ -196,21 +249,21 @@ class TestParametricArea:
 
     def test_platform_area_matches_summary(self):
         for sets in (1, 2, 4):
-            spec = platform_spec(f"SuperNoVA{sets}S")
+            soc = make_platform(f"SuperNoVA{sets}S")
             summary = area_summary(accel_sets=sets, cpu_tiles=sets)
-            assert platform_area(spec) == summary["total_um2"]
+            assert platform_area(soc) == summary["total_um2"]
 
     def test_boom_platform_uses_baseline(self):
-        assert platform_area(platform_spec("BOOM")) == \
+        assert platform_area(make_platform("BOOM")) == \
             AREA_TABLE["boom_baseline"]
 
     def test_cpu_platform_without_table_entry_raises(self):
         with pytest.raises(ValueError):
-            platform_area(platform_spec("ServerCPU"))
+            platform_area(make_platform("ServerCPU"))
 
     def test_spatula_drops_mem_tile_and_siu(self):
-        nova = platform_area(platform_spec("SuperNoVA1S"))
-        spatula = platform_area(platform_spec("Spatula1S"))
+        nova = platform_area(make_platform("SuperNoVA1S"))
+        spatula = platform_area(make_platform("Spatula1S"))
         assert nova - spatula == pytest.approx(
             AREA_TABLE["mem_tile"] + AREA_TABLE["comp_sparse_index_unit"])
 

@@ -18,7 +18,7 @@ from repro.factorgraph import (
     PriorFactorSE2,
 )
 from repro.geometry import SE2
-from repro.hardware import boom_cpu, supernova_soc
+from repro.hardware import make_platform
 from repro.instrumentation import StepContext
 from repro.linalg.trace import Op, OpKind, OpTrace
 from repro.runtime import (
@@ -66,7 +66,7 @@ class TestEurocLikeDataset:
 class TestExecutorEdgeCases:
     def test_empty_report(self):
         report = StepReport(step=0)
-        latency = execute_step(report, boom_cpu())
+        latency = execute_step(report, make_platform("BOOM"))
         assert latency.total == 0.0
 
     def test_features_affect_numeric_only(self):
@@ -83,7 +83,7 @@ class TestExecutorEdgeCases:
         report = StepReport(step=11, relinearized_factors=3,
                             affected_columns=4, trace=trace,
                             node_parents={})
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         fast = execute_step(report, soc, {}, RuntimeFeatures.all())
         slow = execute_step(report, soc, {}, RuntimeFeatures.none())
         assert fast.relinearization == slow.relinearization
@@ -92,8 +92,8 @@ class TestExecutorEdgeCases:
 
     def test_cpu_tiles_parallelize_relin(self):
         report = StepReport(step=0, relinearized_factors=100)
-        one = execute_step(report, supernova_soc(1))
-        four = execute_step(report, supernova_soc(4))
+        one = execute_step(report, make_platform("SuperNoVA1S"))
+        four = execute_step(report, make_platform("SuperNoVA4S"))
         assert four.relinearization == pytest.approx(
             one.relinearization / 4.0)
 
@@ -116,12 +116,12 @@ class TestOnlineRunProperties:
 class TestRaIsam2Validation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
-            RAISAM2(NodeCostModel(supernova_soc(1)),
+            RAISAM2(NodeCostModel(make_platform("SuperNoVA1S")),
                     selection_policy="greedy-by-size")
 
     def test_policies_run(self):
         for policy in ("relevance", "fifo", "random"):
-            solver = RAISAM2(NodeCostModel(supernova_soc(1)),
+            solver = RAISAM2(NodeCostModel(make_platform("SuperNoVA1S")),
                              target_seconds=1e-4,
                              selection_policy=policy)
             solver.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)])

@@ -197,14 +197,6 @@ class TestTraceEmission:
             front = node.front_dim(symbolic.dims)
             assert node_trace.workspace_bytes == 4 * front * front
 
-    def test_split_partitions_ops(self):
-        _, trace = self.run_traced()
-        for node_trace in trace.nodes.values():
-            compute, memory = node_trace.split()
-            assert len(compute) + len(memory) == len(node_trace.ops)
-            assert all(op.is_memory_op for op in memory)
-            assert not any(op.is_memory_op for op in compute)
-
 
 class TestOpAccounting:
     def test_gemm_flops(self):

@@ -19,7 +19,7 @@ import pytest
 from repro.core import RAISAM2
 from repro.datasets import manhattan_dataset
 from repro.factorgraph import FactorGraph, Values
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.instrumentation import StepContext
 from repro.linalg import MultifrontalCholesky, SymbolicFactorization
 from repro.linalg.parallel import (
@@ -324,7 +324,7 @@ class TestInlineDispatch:
 
     def test_raisam2(self):
         data = manhattan_dataset(scale=0.05, seed=3)
-        solver = RAISAM2(NodeCostModel(supernova_soc(1)),
+        solver = RAISAM2(NodeCostModel(make_platform("SuperNoVA1S")),
                          target_seconds=1.0 / 30.0, workers=1)
         for step in data.steps[:40]:
             solver.update({step.key: step.guess}, step.factors)
@@ -349,7 +349,7 @@ class TestConcurrentPricing:
         # concurrent pricing of one trace double-counted misses (and
         # could tear the global counters), breaking the autotuner's
         # exact collapse accounting.
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         n_threads = 8
         for round_ in range(5):
             trace = synthesize_node_ops(12, 12, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import manhattan_dataset, run_online
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.pipeline import (
     BackendPipeline,
     ErrorSamplingStage,
@@ -83,7 +83,7 @@ class TestBackendPipeline:
 
     def test_pricing_stage_needs_traces(self):
         data = tiny_dataset()
-        stage = PricingStage(supernova_soc(2))
+        stage = PricingStage(make_platform("SuperNoVA2S"))
         run = BackendPipeline(ISAM2(), stages=[stage],
                               collect_traces=True).run(data)
         assert len(run.latencies) == len(data.steps)
@@ -103,7 +103,7 @@ class TestBackendPipeline:
 class TestThinWrappers:
     def test_run_online_delegates_to_pipeline(self):
         data = tiny_dataset()
-        run = run_online(ISAM2(), data, soc=supernova_soc(2),
+        run = run_online(ISAM2(), data, soc=make_platform("SuperNoVA2S"),
                          collect_errors=False)
         assert len(run.reports) == len(data.steps)
         assert len(run.latencies) == len(data.steps)
@@ -111,7 +111,7 @@ class TestThinWrappers:
 
     def test_reprice_run_matches_inline_pricing(self):
         data = tiny_dataset()
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         run = run_online(ISAM2(), data, soc=soc, collect_errors=False)
         repriced = reprice_run(run, soc)
         np.testing.assert_allclose(

@@ -10,17 +10,7 @@ scheduler, executor, cost model and experiments actually run.
 import numpy as np
 import pytest
 
-from repro.hardware import (
-    ComputeAccelerator,
-    MemoryAccelerator,
-    boom_cpu,
-    embedded_gpu,
-    mobile_cpu,
-    mobile_dsp,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
-)
+from repro.hardware import ComputeAccelerator, MemoryAccelerator, make_platform
 from repro.linalg.trace import NodeTrace, OpKind
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import (
@@ -32,22 +22,22 @@ from repro.runtime.scheduler import (
 RTOL = 1e-9
 
 HOST_MODELS = [
-    pytest.param(boom_cpu().host, id="BOOM"),
-    pytest.param(mobile_cpu().host, id="MobileCPU"),
-    pytest.param(mobile_dsp().host, id="MobileDSP"),
-    pytest.param(server_cpu().host, id="ServerCPU"),
-    pytest.param(embedded_gpu().host, id="EmbeddedGPU"),
-    pytest.param(supernova_soc(1).host, id="Rocket"),
+    pytest.param(make_platform("BOOM").host, id="BOOM"),
+    pytest.param(make_platform("MobileCPU").host, id="MobileCPU"),
+    pytest.param(make_platform("MobileDSP").host, id="MobileDSP"),
+    pytest.param(make_platform("ServerCPU").host, id="ServerCPU"),
+    pytest.param(make_platform("EmbeddedGPU").host, id="EmbeddedGPU"),
+    pytest.param(make_platform("SuperNoVA1S").host, id="Rocket"),
 ]
 
 ALL_SOCS = [
-    pytest.param(boom_cpu(), id="BOOM"),
-    pytest.param(mobile_cpu(), id="MobileCPU"),
-    pytest.param(mobile_dsp(), id="MobileDSP"),
-    pytest.param(server_cpu(), id="ServerCPU"),
-    pytest.param(embedded_gpu(), id="EmbeddedGPU"),
-    pytest.param(supernova_soc(2), id="SuperNoVA2S"),
-    pytest.param(spatula_soc(2), id="Spatula2S"),
+    pytest.param(make_platform("BOOM"), id="BOOM"),
+    pytest.param(make_platform("MobileCPU"), id="MobileCPU"),
+    pytest.param(make_platform("MobileDSP"), id="MobileDSP"),
+    pytest.param(make_platform("ServerCPU"), id="ServerCPU"),
+    pytest.param(make_platform("EmbeddedGPU"), id="EmbeddedGPU"),
+    pytest.param(make_platform("SuperNoVA2S"), id="SuperNoVA2S"),
+    pytest.param(make_platform("Spatula2S"), id="Spatula2S"),
 ]
 
 FEATURE_COMBOS = [
@@ -143,7 +133,7 @@ class TestPerOpEquivalence:
     def test_power_model_columnar(self, trace):
         from repro.hardware import PowerModel
         model = PowerModel()
-        host = boom_cpu().host
+        host = make_platform("BOOM").host
         cycles = host.price_ops(trace)
         scalar = sum(model.op_energy(op, cycles[i])
                      for i, op in enumerate(trace.ops))
@@ -178,17 +168,17 @@ class TestLaneEquivalence:
 class TestLaneCache:
     def test_cache_hit_returns_same_totals(self):
         trace = engine_like_trace()
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         first = node_cycles(trace, soc)
         again = node_cycles(trace, soc)
         assert first == again
-        # A fresh-but-identical SoC (the factories build one per call)
+        # Another SoC that prices alike (only its set count differs)
         # must hit the same cache entry via the pricing key.
-        assert node_cycles(trace, supernova_soc(4)) == first
+        assert node_cycles(trace, make_platform("SuperNoVA4S")) == first
 
     def test_mutation_invalidates_cache(self):
         trace = engine_like_trace()
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         before = node_cycles(trace, soc)
         trace.record(OpKind.GEMM, 32, 32, 32)
         after = node_cycles(trace, soc)
@@ -199,19 +189,19 @@ class TestLaneCache:
 
     def test_distinct_platforms_cached_separately(self):
         trace = engine_like_trace()
-        nova = node_cycles(trace, supernova_soc(2))
-        spat = node_cycles(trace, spatula_soc(2))
-        boom = node_cycles(trace, boom_cpu())
+        nova = node_cycles(trace, make_platform("SuperNoVA2S"))
+        spat = node_cycles(trace, make_platform("Spatula2S"))
+        boom = node_cycles(trace, make_platform("BOOM"))
         assert nova != spat
         assert boom[0] == 0.0 and boom[2] > 0.0
         # Re-query each; all three keys must still resolve correctly.
-        assert node_cycles(trace, supernova_soc(2)) == nova
-        assert node_cycles(trace, spatula_soc(2)) == spat
-        assert node_cycles(trace, boom_cpu()) == boom
+        assert node_cycles(trace, make_platform("SuperNoVA2S")) == nova
+        assert node_cycles(trace, make_platform("Spatula2S")) == spat
+        assert node_cycles(trace, make_platform("BOOM")) == boom
 
     def test_overlap_flag_is_part_of_key(self):
         trace = engine_like_trace()
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         overlap = node_cycles(trace, soc, RuntimeFeatures.all())
         serial = node_cycles(trace, soc, RuntimeFeatures.none())
         assert overlap[1] > 0.0 and serial[1] == 0.0
@@ -252,8 +242,9 @@ class TestColumnarLayout:
         trace = NodeTrace(node_id=0)
         assert trace.num_ops == 0
         assert trace.flops_array().shape == (0,)
-        assert boom_cpu().host.price_ops(trace).shape == (0,)
-        assert node_cycles(trace, supernova_soc(1)) == (0.0, 0.0, 0.0)
+        assert make_platform("BOOM").host.price_ops(trace).shape == (0,)
+        assert node_cycles(trace, make_platform("SuperNoVA1S")) == \
+            (0.0, 0.0, 0.0)
 
     def test_ops_view_round_trip(self):
         source = mixed_trace()

@@ -1,45 +1,33 @@
-"""Gating equivalence: declarative registry vs hand-written factories.
+"""Gating equivalence: the registry vs the frozen platform fixture.
 
-Every named platform must realize to a model that is *pricing-identical*
-to the legacy factory in :mod:`repro.hardware.platforms` — same
-``pricing_key`` (the full parameter summary the runtime memoizes on),
-same SoC wiring, and bit-identical per-op lane totals on a real trace.
-This is what keeps every committed ``benchmarks/results/*.txt`` file
-byte-reproducible after the factories were rebased onto the registry.
+``tests/fixtures/platforms.json`` was generated from the hand-written
+platform factories that preceded the registry, one line per named
+platform: its ``pricing_key`` (the full parameter summary the runtime
+memoizes on), host model type, SoC wiring, non-pricing rates and the
+lane totals of :func:`sample_trace` under both overlap modes.  Every
+named platform must still match it exactly; that is what keeps every
+committed ``benchmarks/results/*.txt`` file byte-reproducible.
 """
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.hardware.platforms import (
-    boom_cpu,
-    embedded_gpu,
-    mobile_cpu,
-    mobile_dsp,
-    server_cpu,
-    spatula_soc,
-    supernova_soc,
-)
+from repro.hardware.platforms import ComputeAccelerator
 from repro.hardware.registry import (
     make_platform,
     platform_names,
-    platform_spec,
     register_platform,
 )
 from repro.hardware.spec import realize
 from repro.linalg.trace import NodeTrace, OpKind
+from repro.runtime.scheduler import RuntimeFeatures, node_cycles
 
-LEGACY = {
-    "BOOM": boom_cpu,
-    "MobileCPU": mobile_cpu,
-    "MobileDSP": mobile_dsp,
-    "ServerCPU": server_cpu,
-    "EmbeddedGPU": embedded_gpu,
-    "SuperNoVA1S": lambda: supernova_soc(1),
-    "SuperNoVA2S": lambda: supernova_soc(2),
-    "SuperNoVA4S": lambda: supernova_soc(4),
-    "Spatula1S": lambda: spatula_soc(1),
-    "Spatula2S": lambda: spatula_soc(2),
-    "Spatula4S": lambda: spatula_soc(4),
+FIXTURE = {
+    record["name"]: record for record in json.loads(
+        (Path(__file__).parent / "fixtures" / "platforms.json").read_text())
 }
 
 
@@ -57,48 +45,64 @@ def sample_trace() -> NodeTrace:
     return trace
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted(FIXTURE))
 class TestRegistryMatchesFactory:
     def test_pricing_key_identical(self, name):
-        assert make_platform(name).pricing_key == \
-            LEGACY[name]().pricing_key
+        soc = make_platform(name)
+        # Round-trip through JSON: the fixture stores tuples as lists.
+        key = json.loads(json.dumps(soc.pricing_key))
+        assert key == FIXTURE[name]["pricing_key"]
+        assert type(soc.host).__name__ == FIXTURE[name]["host_type"]
 
     def test_soc_wiring_identical(self, name):
-        reg, legacy = make_platform(name), LEGACY[name]()
-        assert reg.name == legacy.name
-        assert reg.accel_sets == legacy.accel_sets
-        assert reg.cpu_tiles == legacy.cpu_tiles
-        assert reg.llc_bytes == legacy.llc_bytes
-        assert reg.dram_bytes_per_cycle == legacy.dram_bytes_per_cycle
-        assert reg.frequency_hz == legacy.frequency_hz
-        assert type(reg.host) is type(legacy.host)
-        assert (reg.comp is None) == (legacy.comp is None)
-        assert (reg.mem is None) == (legacy.mem is None)
+        soc, frozen = make_platform(name), FIXTURE[name]
+        assert soc.name == frozen["name"]
+        assert frozen["wiring"] == {
+            "accel_sets": soc.accel_sets,
+            "cpu_tiles": soc.cpu_tiles,
+            "has_comp": soc.comp is not None,
+            "has_mem": soc.mem is not None,
+            "llc_bytes": soc.llc_bytes,
+            "dram_bytes_per_cycle": soc.dram_bytes_per_cycle,
+            "frequency_hz": soc.frequency_hz,
+        }
+        assert frozen["rates"] == {
+            "host_frequency_hz": soc.host.frequency_hz,
+            "relin_cycles_per_factor": soc.host.relin_cycles_per_factor,
+            "symbolic_cycles_per_column":
+                soc.host.symbolic_cycles_per_column,
+            "scratchpad_bytes": (soc.comp.scratchpad_bytes
+                                 if soc.comp is not None else None),
+        }
 
     def test_lane_totals_bit_identical(self, name):
-        reg, legacy = make_platform(name), LEGACY[name]()
-        trace = sample_trace()
-        models = [(reg.host, legacy.host)]
-        if reg.comp is not None:
-            models.append((reg.comp, legacy.comp))
-        if reg.mem is not None:
-            models.append((reg.mem, legacy.mem))
-        for reg_model, legacy_model in models:
-            a = reg_model.price_ops(trace)
-            b = legacy_model.price_ops(trace)
-            assert (a == b).all(), type(reg_model).__name__
+        soc = make_platform(name)
+        for overlap, mode in ((True, "overlap"), (False, "serial")):
+            lanes = node_cycles(sample_trace(), soc,
+                                RuntimeFeatures(overlap, True, True))
+            assert list(lanes) == FIXTURE[name]["lanes"][mode], mode
 
 
 class TestRegistryBehaviour:
     def test_all_evaluated_platforms_listed(self):
         names = platform_names()
-        for name in LEGACY:
+        for name in FIXTURE:
             assert name in names
 
     def test_realization_memoized(self):
+        soc = make_platform("SuperNoVA2S")
+        # An equal value built elsewhere interns to the registry's one.
+        assert realize(replace(soc)) is soc
+
+    def test_equal_requests_share_one_instance(self):
         assert make_platform("SuperNoVA2S") is make_platform("SuperNoVA2S")
-        spec = platform_spec("SuperNoVA2S")
-        assert realize(spec) is make_platform("SuperNoVA2S")
+        wide = make_platform("SuperNoVA2S", systolic_dim=8,
+                             llc_bytes=1 << 20)
+        assert make_platform("SuperNoVA2S", llc_bytes=1 << 20,
+                             systolic_dim=8) is wide
+        by_hand = replace(make_platform("SuperNoVA2S"), llc_bytes=1 << 20,
+                          comp=ComputeAccelerator(systolic_dim=8))
+        assert realize(by_hand) is wide
 
     def test_override_breaks_sharing(self):
         base = make_platform("SuperNoVA2S")
@@ -113,13 +117,12 @@ class TestRegistryBehaviour:
 
     def test_unknown_platform_raises(self):
         with pytest.raises(KeyError):
-            platform_spec("TPUv4")
+            make_platform("TPUv4")
 
     def test_register_new_platform(self):
-        from dataclasses import replace
-        spec = replace(platform_spec("SuperNoVA2S"), name="TestBigLLC",
-                       llc_bytes=8 * 1024 * 1024)
-        register_platform(spec)
+        soc = replace(make_platform("SuperNoVA2S"), name="TestBigLLC",
+                      llc_bytes=8 * 1024 * 1024)
+        register_platform(soc)
         try:
             assert make_platform("TestBigLLC").llc_bytes == \
                 8 * 1024 * 1024

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import boom_cpu, spatula_soc, supernova_soc
+from repro.hardware import make_platform
 from repro.linalg.trace import NodeTrace, Op, OpKind, OpTrace
 from repro.runtime import (
     NodeCostModel,
@@ -41,32 +41,32 @@ def star_tree(leaves, **node_kwargs):
 
 class TestNodeCycles:
     def test_supernova_splits_comp_and_mem(self):
-        soc = supernova_soc()
+        soc = make_platform("SuperNoVA2S")
         comp, mem, host = node_cycles(make_node(0), soc)
         assert comp > 0 and mem > 0
         assert host == 0.0
 
     def test_spatula_memory_on_host(self):
-        soc = spatula_soc()
+        soc = make_platform("Spatula2S")
         comp, mem, host = node_cycles(make_node(0), soc)
         assert comp > 0 and mem == 0.0
         assert host > 0  # memcpy/memset and scatter fall back to Rocket
 
     def test_cpu_baseline_all_on_host(self):
-        soc = boom_cpu()
+        soc = make_platform("BOOM")
         comp, mem, host = node_cycles(make_node(0), soc)
         assert comp == 0.0 and mem == 0.0 and host > 0
 
 
 class TestSimulateTree:
     def test_empty_trace(self):
-        result = simulate_tree({}, {}, supernova_soc())
+        result = simulate_tree({}, {}, make_platform("SuperNoVA2S"))
         assert result.makespan_cycles == 0.0
         assert result.nodes_processed == 0
 
     def test_single_node(self):
         traces = {0: make_node(0)}
-        result = simulate_tree(traces, {0: None}, supernova_soc(1))
+        result = simulate_tree(traces, {0: None}, make_platform("SuperNoVA1S"))
         assert result.makespan_cycles > 0
         assert result.nodes_processed == 1
 
@@ -74,59 +74,62 @@ class TestSimulateTree:
         # A path has no inter-node parallelism: 2 sets barely help
         # (only intra-node).
         traces, parents = chain_tree(6)
-        one = simulate_tree(traces, parents, supernova_soc(1)).makespan_cycles
-        two = simulate_tree(traces, parents, supernova_soc(2),
+        one = simulate_tree(traces, parents,
+                            make_platform("SuperNoVA1S")).makespan_cycles
+        two = simulate_tree(traces, parents, make_platform("SuperNoVA2S"),
                             RuntimeFeatures(True, True, False)
                             ).makespan_cycles
         assert two == pytest.approx(one, rel=0.01)
 
     def test_star_parallelizes(self):
         traces, parents = star_tree(8)
-        one = simulate_tree(traces, parents, supernova_soc(1)).makespan_cycles
+        one = simulate_tree(traces, parents,
+                            make_platform("SuperNoVA1S")).makespan_cycles
         four = simulate_tree(traces, parents,
-                             supernova_soc(4)).makespan_cycles
+                             make_platform("SuperNoVA4S")).makespan_cycles
         assert four < 0.5 * one
 
     def test_more_sets_never_slower(self):
         traces, parents = star_tree(6)
         prev = float("inf")
         for sets in (1, 2, 4):
-            span = simulate_tree(traces, parents,
-                                 supernova_soc(sets)).makespan_cycles
+            span = simulate_tree(
+                traces, parents,
+                make_platform(f"SuperNoVA{sets}S")).makespan_cycles
             assert span <= prev * 1.001
             prev = span
 
     def test_hetero_overlap_helps(self):
         traces, parents = chain_tree(4, m=24, n=24, factors=6)
-        on = simulate_tree(traces, parents, supernova_soc(1),
+        on = simulate_tree(traces, parents, make_platform("SuperNoVA1S"),
                            RuntimeFeatures(True, False, False))
-        off = simulate_tree(traces, parents, supernova_soc(1),
+        off = simulate_tree(traces, parents, make_platform("SuperNoVA1S"),
                             RuntimeFeatures.none())
         assert on.makespan_cycles < off.makespan_cycles
 
     def test_inter_node_helps_on_star(self):
         traces, parents = star_tree(8)
-        base = simulate_tree(traces, parents, supernova_soc(2),
+        base = simulate_tree(traces, parents, make_platform("SuperNoVA2S"),
                              RuntimeFeatures(True, False, False))
-        inter = simulate_tree(traces, parents, supernova_soc(2),
+        inter = simulate_tree(traces, parents, make_platform("SuperNoVA2S"),
                               RuntimeFeatures(True, True, False))
         assert inter.makespan_cycles < base.makespan_cycles
 
     def test_intra_node_helps_on_chain(self):
         traces, parents = chain_tree(4, m=32, n=32, factors=4)
-        without = simulate_tree(traces, parents, supernova_soc(4),
+        soc = make_platform("SuperNoVA4S")
+        without = simulate_tree(traces, parents, soc,
                                 RuntimeFeatures(True, True, False))
-        with_intra = simulate_tree(traces, parents, supernova_soc(4),
+        with_intra = simulate_tree(traces, parents, soc,
                                    RuntimeFeatures(True, True, True))
         assert with_intra.makespan_cycles < without.makespan_cycles
 
     def test_llc_limits_concurrency(self):
         # Nodes whose workspaces exceed the LLC cannot all run at once.
         traces, parents = star_tree(4, m=96, n=96, factors=2)
-        soc_small = supernova_soc(4)
-        soc_small.llc_bytes = traces[0].workspace_bytes + 1
-        soc_big = supernova_soc(4)
-        soc_big.llc_bytes = 64 * 1024 * 1024
+        soc_small = make_platform(
+            "SuperNoVA4S", llc_bytes=traces[0].workspace_bytes + 1)
+        soc_big = make_platform("SuperNoVA4S", llc_bytes=64 * 1024 * 1024)
         limited = simulate_tree(traces, parents, soc_small)
         roomy = simulate_tree(traces, parents, soc_big)
         assert limited.makespan_cycles > roomy.makespan_cycles
@@ -134,7 +137,7 @@ class TestSimulateTree:
     def test_dependencies_respected_makespan(self):
         # A chain's makespan is at least the sum of per-node best times.
         traces, parents = chain_tree(5)
-        soc = supernova_soc(4)
+        soc = make_platform("SuperNoVA4S")
         result = simulate_tree(traces, parents, soc)
         floor = 0.0
         for trace in traces.values():
@@ -144,31 +147,32 @@ class TestSimulateTree:
 
     def test_utilization_bounded(self):
         traces, parents = star_tree(8)
-        result = simulate_tree(traces, parents, supernova_soc(2))
+        result = simulate_tree(traces, parents, make_platform("SuperNoVA2S"))
         assert 0.0 < result.utilization <= 1.0
 
     def test_cpu_platform_sequential(self):
         traces, parents = star_tree(4)
-        result = simulate_tree(traces, parents, boom_cpu())
-        expected = sequential_cycles(list(traces.values()), boom_cpu())
+        boom = make_platform("BOOM")
+        result = simulate_tree(traces, parents, boom)
+        expected = sequential_cycles(list(traces.values()), boom)
         assert result.makespan_cycles == pytest.approx(expected)
 
 
 class TestCostModel:
     def test_monotone_in_node_size(self):
-        model = NodeCostModel(supernova_soc(1))
+        model = NodeCostModel(make_platform("SuperNoVA1S"))
         assert model.node_seconds(24, 24, 4) > model.node_seconds(6, 6, 1)
 
     def test_speedup_with_sets(self):
-        one = NodeCostModel(supernova_soc(1))
-        four = NodeCostModel(supernova_soc(4))
+        one = NodeCostModel(make_platform("SuperNoVA1S"))
+        four = NodeCostModel(make_platform("SuperNoVA4S"))
         assert one.step_speedup() == 1.0
         assert four.step_speedup() > 2.0
 
     def test_estimate_tracks_simulation(self):
         # The analytic estimate must be within 2x of the scheduled time
         # for a single node (it is used for budgeting, not billing).
-        soc = supernova_soc(1)
+        soc = make_platform("SuperNoVA1S")
         model = NodeCostModel(soc)
         trace = make_node(0, m=18, n=24, factors=3)
         simulated = soc.seconds(simulate_tree(
@@ -177,7 +181,7 @@ class TestCostModel:
         assert 0.5 < estimated / simulated < 2.0
 
     def test_cpu_rates(self):
-        model = NodeCostModel(boom_cpu())
+        model = NodeCostModel(make_platform("BOOM"))
         assert model.relin_seconds(100) > 0
         assert model.symbolic_seconds(50) > 0
         assert model.selection_seconds(10) > 0
@@ -195,7 +199,7 @@ class TestExecuteStep:
             node_parents={0: 2, 1: 2, 2: None})
 
     def test_breakdown_positive(self):
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         report = self.make_report(soc)
         latency = execute_step(report, soc, report.node_parents)
         assert latency.relinearization > 0
@@ -209,36 +213,37 @@ class TestExecuteStep:
     def test_no_trace_no_numeric(self):
         report = StepReport(step=0, relinearized_factors=2,
                             affected_columns=3)
-        latency = execute_step(report, boom_cpu())
+        latency = execute_step(report, make_platform("BOOM"))
         assert latency.numeric == 0.0
         assert latency.total > 0.0
 
     def test_supernova_numeric_faster_than_boom(self):
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         report = self.make_report(soc)
         fast = execute_step(report, soc, report.node_parents)
-        slow = execute_step(report, boom_cpu(), report.node_parents)
+        slow = execute_step(report, make_platform("BOOM"), report.node_parents)
         assert fast.numeric < slow.numeric
 
     def test_spatula_slower_than_supernova(self):
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         report = self.make_report(soc)
         nova = execute_step(report, soc, report.node_parents)
-        spat = execute_step(report, spatula_soc(2), report.node_parents)
+        spat = execute_step(report, make_platform("Spatula2S"),
+                            report.node_parents)
         assert spat.numeric > nova.numeric
 
     def test_as_dict_keys(self):
         # Regression: utilization used to be silently dropped from the
         # breakdown dict even though the dataclass carries it.
-        report = self.make_report(supernova_soc(1))
-        latency = execute_step(report, supernova_soc(1),
+        report = self.make_report(make_platform("SuperNoVA1S"))
+        latency = execute_step(report, make_platform("SuperNoVA1S"),
                                report.node_parents)
         assert set(latency.as_dict().keys()) == {
             "relinearization", "symbolic", "numeric", "overhead",
             "utilization", "total"}
 
     def test_as_dict_values_match_fields(self):
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         report = self.make_report(soc)
         latency = execute_step(report, soc, report.node_parents)
         breakdown = latency.as_dict()
@@ -266,7 +271,7 @@ class TestExecuteStep:
         # node as an independent root instead of reading
         # report.node_parents, overstating parallelism on accelerator
         # platforms.
-        soc = supernova_soc(4)
+        soc = make_platform("SuperNoVA4S")
         report = self.make_chain_report()
         derived = execute_step(report, soc)
         explicit = execute_step(report, soc, report.node_parents)
@@ -277,7 +282,7 @@ class TestExecuteStep:
         assert forest.numeric < derived.numeric
 
     def test_warns_on_missing_dependency_info(self):
-        soc = supernova_soc(4)
+        soc = make_platform("SuperNoVA4S")
         report = self.make_chain_report()
         report.node_parents = None
         with pytest.warns(RuntimeWarning, match="no dependency info"):
@@ -286,7 +291,7 @@ class TestExecuteStep:
     def test_no_warning_for_single_node_or_explicit_empty(self):
         import warnings
 
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         trace = OpTrace()
         trace.node(0, cols=12, rows_below=12).ops.extend(make_node(0).ops)
         single = StepReport(step=0, relinearized_factors=1,
@@ -317,16 +322,15 @@ class TestDramContention:
         # the compute-bound case.
         traces = {i: self.make_memory_heavy(i) for i in range(4)}
         parents = {i: None for i in range(4)}
-        one = simulate_tree(traces, parents, supernova_soc(1))
-        four = simulate_tree(traces, parents, supernova_soc(4))
+        one = simulate_tree(traces, parents, make_platform("SuperNoVA1S"))
+        four = simulate_tree(traces, parents, make_platform("SuperNoVA4S"))
         speedup = one.makespan_cycles / four.makespan_cycles
         assert speedup < 2.6  # bandwidth-capped, not ~4x
 
     def test_compute_bound_nodes_unaffected(self):
         traces, parents = star_tree(4, m=32, n=32, factors=2)
-        roomy = supernova_soc(4)
-        roomy.llc_bytes = 1 << 26
-        one = simulate_tree(traces, parents, supernova_soc(1))
+        roomy = make_platform("SuperNoVA4S", llc_bytes=1 << 26)
+        one = simulate_tree(traces, parents, make_platform("SuperNoVA1S"))
         four = simulate_tree(traces, parents, roomy)
         assert one.makespan_cycles / four.makespan_cycles > 2.0
 
@@ -335,6 +339,6 @@ class TestDramContention:
         # two memory-heavy nodes still scale.
         traces = {i: self.make_memory_heavy(i) for i in range(2)}
         parents = {i: None for i in range(2)}
-        one = simulate_tree(traces, parents, supernova_soc(1))
-        two = simulate_tree(traces, parents, supernova_soc(2))
+        one = simulate_tree(traces, parents, make_platform("SuperNoVA1S"))
+        two = simulate_tree(traces, parents, make_platform("SuperNoVA2S"))
         assert two.makespan_cycles < 0.7 * one.makespan_cycles

@@ -3,7 +3,7 @@ and per-lane op assignment under every RuntimeFeatures combination."""
 
 import pytest
 
-from repro.hardware import boom_cpu, spatula_soc, supernova_soc
+from repro.hardware import make_platform
 from repro.linalg.trace import NodeTrace, OpKind
 from repro.runtime import (
     RuntimeFeatures,
@@ -55,7 +55,8 @@ class TestUtilizationBounds:
     def test_simulated_runs_stay_in_unit_interval(self, features):
         traces = {i: make_node(i) for i in range(6)}
         parents = {i: (5 if i < 5 else None) for i in range(6)}
-        result = simulate_tree(traces, parents, supernova_soc(2), features)
+        result = simulate_tree(traces, parents,
+                               make_platform("SuperNoVA2S"), features)
         assert 0.0 < result.utilization <= 1.0
 
     def test_serial_chain_wastes_extra_sets(self):
@@ -63,7 +64,7 @@ class TestUtilizationBounds:
         # a time, so utilization on 4 sets cannot beat ~1/4 by much.
         traces = {i: make_node(i) for i in range(5)}
         parents = {i: (i + 1 if i < 4 else None) for i in range(5)}
-        result = simulate_tree(traces, parents, supernova_soc(4),
+        result = simulate_tree(traces, parents, make_platform("SuperNoVA4S"),
                                RuntimeFeatures(True, True, False))
         assert result.utilization <= 0.3
 
@@ -75,7 +76,7 @@ class TestLlcRejections:
         # first runs, so the guard defers it at least once.
         traces = {i: big_workspace_node(i) for i in range(2)}
         parents = {0: None, 1: None}
-        result = simulate_tree(traces, parents, supernova_soc(2))
+        result = simulate_tree(traces, parents, make_platform("SuperNoVA2S"))
         assert result.llc_rejections >= 1
         assert result.nodes_processed == 2
 
@@ -85,7 +86,7 @@ class TestLlcRejections:
         # two sets block exactly one node exactly once.
         traces = {i: big_workspace_node(i) for i in range(2)}
         result = simulate_tree(traces, {0: None, 1: None},
-                               supernova_soc(2))
+                               make_platform("SuperNoVA2S"))
         assert result.llc_rejections == 1
 
     def test_blocked_count_scales_with_ready_queue(self):
@@ -93,15 +94,14 @@ class TestLlcRejections:
         # leave 3, then 2, then 1 node blocked — 6 blocked-node events.
         traces = {i: big_workspace_node(i) for i in range(4)}
         result = simulate_tree(traces, {i: None for i in range(4)},
-                               supernova_soc(2))
+                               make_platform("SuperNoVA2S"))
         assert result.llc_rejections == 6
         assert result.nodes_processed == 4
 
     def test_roomy_llc_never_rejects(self):
         traces = {i: make_node(i) for i in range(4)}
         parents = {i: None for i in range(4)}
-        soc = supernova_soc(4)
-        soc.llc_bytes = 1 << 30
+        soc = make_platform("SuperNoVA4S", llc_bytes=1 << 30)
         result = simulate_tree(traces, parents, soc)
         assert result.llc_rejections == 0
 
@@ -110,14 +110,16 @@ class TestLlcRejections:
         # giants back to back.
         traces = {i: big_workspace_node(i) for i in range(2)}
         parents = {0: None, 1: None}
-        constrained = simulate_tree(traces, parents, supernova_soc(2))
+        constrained = simulate_tree(traces, parents,
+                                    make_platform("SuperNoVA2S"))
         single = simulate_tree({0: traces[0]}, {0: None},
-                               supernova_soc(2))
+                               make_platform("SuperNoVA2S"))
         assert constrained.makespan_cycles >= 1.9 * single.makespan_cycles
 
     def test_cpu_fallback_reports_none(self):
         traces = {i: big_workspace_node(i) for i in range(2)}
-        result = simulate_tree(traces, {0: None, 1: None}, boom_cpu())
+        result = simulate_tree(traces, {0: None, 1: None},
+                               make_platform("BOOM"))
         assert result.llc_rejections == 0
 
 
@@ -127,7 +129,8 @@ class TestLaneAssignment:
     @pytest.mark.parametrize("features", FEATURE_COMBOS, ids=FEATURE_IDS)
     def test_supernova_lanes(self, features):
         trace = make_node(0)
-        comp, mem, host = node_cycles(trace, supernova_soc(2), features)
+        comp, mem, host = node_cycles(trace, make_platform("SuperNoVA2S"),
+                                      features)
         assert comp > 0.0  # GEMM/SYRK/... and scatter (SIU) on COMP
         if features.hetero_overlap:
             assert mem > 0.0
@@ -137,7 +140,7 @@ class TestLaneAssignment:
             # the host lane so node_duration stops overlapping it with
             # compute — still priced at the MEM tile's rate.
             assert mem == 0.0
-            _, mem_on, _ = node_cycles(trace, supernova_soc(2),
+            _, mem_on, _ = node_cycles(trace, make_platform("SuperNoVA2S"),
                                        RuntimeFeatures(True,
                                                        features.inter_node,
                                                        features.intra_node))
@@ -146,7 +149,8 @@ class TestLaneAssignment:
     @pytest.mark.parametrize("features", FEATURE_COMBOS, ids=FEATURE_IDS)
     def test_spatula_lanes(self, features):
         trace = make_node(0)
-        comp, mem, host = node_cycles(trace, spatula_soc(2), features)
+        comp, mem, host = node_cycles(trace, make_platform("Spatula2S"),
+                                      features)
         assert comp > 0.0
         assert mem == 0.0  # no MEM tile at all
         assert host > 0.0  # scatter (no SIU) + memset/memcpy on Rocket
@@ -154,7 +158,7 @@ class TestLaneAssignment:
     @pytest.mark.parametrize("features", FEATURE_COMBOS, ids=FEATURE_IDS)
     def test_cpu_lanes(self, features):
         trace = make_node(0)
-        comp, mem, host = node_cycles(trace, boom_cpu(), features)
+        comp, mem, host = node_cycles(trace, make_platform("BOOM"), features)
         assert comp == 0.0 and mem == 0.0
         assert host > 0.0
 
@@ -162,7 +166,7 @@ class TestLaneAssignment:
         # Lane totals depend only on hetero_overlap; the scheduling flags
         # change how lanes combine, never what each lane costs.
         trace = make_node(0, m=18, n=24, factors=3)
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         for hetero in (False, True):
             lanes = {node_cycles(trace, soc,
                                  RuntimeFeatures(hetero, inter, intra))
@@ -174,7 +178,7 @@ class TestLaneAssignment:
         trace = NodeTrace(node_id=0, cols=4, rows_below=4)
         trace.record(OpKind.MEMSET, 1 << 14)
         trace.record(OpKind.MEMCPY, 1 << 14)
-        comp, mem, host = node_cycles(trace, supernova_soc(1))
+        comp, mem, host = node_cycles(trace, make_platform("SuperNoVA1S"))
         assert comp == 0.0 and mem > 0.0 and host == 0.0
-        comp, mem, host = node_cycles(trace, spatula_soc(1))
+        comp, mem, host = node_cycles(trace, make_platform("Spatula1S"))
         assert comp == 0.0 and mem == 0.0 and host > 0.0

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.runtime import RuntimeFeatures, node_cycles, simulate_tree
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import _intra_node_rate
@@ -75,7 +75,7 @@ class TestSchedulerBounds:
     def test_bounds_and_monotonicity(self, num_nodes, seed, sets):
         rng = np.random.default_rng(seed)
         traces, parents = random_tree(rng, num_nodes)
-        soc = supernova_soc(sets)
+        soc = make_platform(f"SuperNoVA{sets}S")
         features = RuntimeFeatures.all()
         result = simulate_tree(traces, parents, soc, features)
 
@@ -91,7 +91,7 @@ class TestSchedulerBounds:
     def test_more_sets_never_slower(self, num_nodes, seed):
         rng = np.random.default_rng(seed)
         traces, parents = random_tree(rng, num_nodes)
-        spans = [simulate_tree(traces, parents, supernova_soc(s)
+        spans = [simulate_tree(traces, parents, make_platform(f"SuperNoVA{s}S")
                                ).makespan_cycles for s in (1, 2, 4)]
         assert spans[1] <= spans[0] * 1.001
         assert spans[2] <= spans[1] * 1.001
@@ -101,7 +101,7 @@ class TestSchedulerBounds:
     def test_features_never_hurt(self, num_nodes, seed):
         rng = np.random.default_rng(seed)
         traces, parents = random_tree(rng, num_nodes)
-        soc = supernova_soc(2)
+        soc = make_platform("SuperNoVA2S")
         none = simulate_tree(traces, parents, soc,
                              RuntimeFeatures.none()).makespan_cycles
         full = simulate_tree(traces, parents, soc,

@@ -16,7 +16,7 @@ from repro.core.budget import StepBudget
 from repro.factorgraph.factors import BetweenFactorSE2, PriorFactorSE2
 from repro.factorgraph.noise import IsotropicNoise
 from repro.geometry.se2 import SE2
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.linalg.parallel import ParallelStepExecutor
 from repro.runtime.cost_model import NodeCostModel
 from repro.serving import (
@@ -47,7 +47,7 @@ class _PoisonFactor(BetweenFactorSE2):
 
 
 def _raisam2_factory():
-    return RAISAM2(NodeCostModel(supernova_soc(1)),
+    return RAISAM2(NodeCostModel(make_platform("SuperNoVA1S")),
                    target_seconds=1.0 / 30.0)
 
 
@@ -253,10 +253,9 @@ def test_overload_controller_validation_and_budget():
     with pytest.raises(ValueError):
         OverloadController(0.01, min_scale=0.0)
     ctl = OverloadController(0.01, alpha=1.0, backoff=0.5, recover=2.0)
-    full = ctl.fleet_budget(4)
-    ctl.observe(1.0)  # overload -> scale 0.5
-    degraded = ctl.fleet_budget(4)
-    assert degraded.remaining == pytest.approx(full.remaining * 0.5)
+    assert ctl.relin_scale == 1.0
+    assert ctl.observe(1.0) == 0.5  # overload halves the scale
+    assert ctl.relin_scale == 0.5
 
 
 # -- fault isolation ----------------------------------------------------

@@ -8,7 +8,7 @@ the two op streams on real supernodes.
 from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
     PriorFactorSE2
 from repro.geometry import SE2
-from repro.hardware import supernova_soc
+from repro.hardware import make_platform
 from repro.instrumentation import StepContext
 from repro.linalg.trace import OpKind, OpTrace
 from repro.runtime.cost_model import synthesize_node_ops
@@ -48,7 +48,7 @@ class TestSynthesizedOpsMatchReality:
 
     def test_cycle_estimate_within_bounds(self):
         engine, trace = traced_engine_step()
-        soc = supernova_soc(1)
+        soc = make_platform("SuperNoVA1S")
         for sid, node_trace in trace.nodes.items():
             if not any(op.kind is OpKind.POTRF for op in node_trace.ops):
                 continue  # solve-only touches from back-substitution
