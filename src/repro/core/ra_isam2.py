@@ -19,7 +19,7 @@ keeps the historical constant-target behavior bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.core.budget import StepBudget
 from repro.core.relevance import RelinCostEstimator, relevance_scores
@@ -36,24 +36,8 @@ from repro.policy import (
     make_selection_policy,
 )
 from repro.runtime.cost_model import NodeCostModel
-from repro.linalg.plan import PlanCache
-from repro.solvers.base import StepReport
+from repro.solvers.base import SelectionPlan, StepReport
 from repro.solvers.isam2 import IncrementalEngine
-
-
-class SelectionPlan(NamedTuple):
-    """Outcome of one budgeted relinearization-selection pass.
-
-    ``shed`` counts variables the *nominal* (unscaled) budget would have
-    admitted but the overload-scaled budget did not — the fleet's
-    graceful-degradation metric, zero whenever ``budget_scale >= 1``.
-    """
-
-    selected: List[Key]
-    deferred: int
-    shed: int
-    charged: float
-    visits: int
 
 
 class RAISAM2:
@@ -103,8 +87,7 @@ class RAISAM2:
                  budget_controller="fixed",
                  ordering: str = "chronological",
                  reorder_interval: int = 25,
-                 workers: Optional[int] = None,
-                 plan_cache: Optional[PlanCache] = None):
+                 workers: Optional[int] = None):
         self.cost_model = cost_model
         self.target_seconds = float(target_seconds)
         self.score_floor = float(score_floor)
@@ -119,7 +102,7 @@ class RAISAM2:
             max_supernode_vars=max_supernode_vars,
             wildfire_tol=wildfire_tol, damping=damping,
             ordering=ordering, reorder_interval=reorder_interval,
-            workers=workers, plan_cache=plan_cache)
+            workers=workers)
         self._step = -1
         self._last_target_scale = 1.0
 
@@ -185,9 +168,9 @@ class RAISAM2:
     def observe_report(self, report: StepReport) -> None:
         """Feed the budget controller one completed step's signals.
 
-        Called at the end of :meth:`update` (solo) and by the serving
-        fleet after it assembles a session's report, so controller
-        state advances identically under both drivers.
+        Called by :meth:`end_step`, so controller state advances
+        identically whether ``update`` or the serving fleet drives the
+        step.
         """
         norms = self.engine.delta_norm_array()
         extras = dict(report.extras)
@@ -196,15 +179,16 @@ class RAISAM2:
                           float(norms.max()) if norms.size else 0.0)
         self.budget_controller.observe(extras)
 
-    def update(self, new_values: Dict[Key, object],
-               new_factors: Sequence[Factor],
-               context: Optional[StepContext] = None) -> StepReport:
-        """One resource-aware backend step."""
+    def begin_step(self, new_factors: Sequence[Factor],
+                   budget_scale: float = 1.0) -> SelectionPlan:
+        """Advance the step counter; run :meth:`plan_selection`."""
         self._step += 1
-        ctx = context if context is not None else StepContext()
-        plan = self.plan_selection(new_factors)
-        info = self.engine.update(new_values, new_factors, plan.selected,
-                                  context=ctx)
+        return self.plan_selection(new_factors, budget_scale=budget_scale)
+
+    def end_step(self, ctx: StepContext, info: Dict[str, object],
+                 plan: SelectionPlan) -> StepReport:
+        """Build the step's report from the engine's ``info``, with the
+        budget extras, and feed it to :meth:`observe_report`."""
         ctx.extras["estimated_seconds"] = plan.charged
         if self._last_target_scale != 1.0:
             ctx.extras["budget_target_scale"] = self._last_target_scale
@@ -216,6 +200,16 @@ class RAISAM2:
         )
         self.observe_report(report)
         return report
+
+    def update(self, new_values: Dict[Key, object],
+               new_factors: Sequence[Factor],
+               context: Optional[StepContext] = None) -> StepReport:
+        """One resource-aware backend step."""
+        ctx = context if context is not None else StepContext()
+        plan = self.begin_step(new_factors)
+        info = self.engine.update(new_values, new_factors, plan.selected,
+                                  context=ctx)
+        return self.end_step(ctx, info, plan)
 
     def estimate(self) -> Values:
         return self.engine.estimate()

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.linalg.parallel import LevelStats, wall_speedup
 from repro.linalg.trace import NodeTrace, OpTrace
 
 if TYPE_CHECKING:  # solvers.base imports stay lazy: solvers import us
-    from repro.linalg.parallel import LevelStats
     from repro.solvers.base import ParentMap, StepReport
 
 
@@ -87,7 +87,7 @@ class StepContext:
         """Whether op tracing is active for this step."""
         return self.trace is not None
 
-    def add_level_stats(self, stats: "LevelStats") -> None:
+    def add_level_stats(self, stats: LevelStats) -> None:
         """Fold one phase's pool-dispatch statistics into the step."""
         self.parallel_nodes += stats.nodes
         self.parallel_levels += stats.levels
@@ -119,10 +119,8 @@ class StepContext:
         extras.setdefault("refactor_seconds", float(self.refactor_seconds))
         extras.setdefault("parallel_nodes", float(self.parallel_nodes))
         extras.setdefault("parallel_levels", float(self.parallel_levels))
-        extras.setdefault(
-            "wall_speedup",
-            float(self.parallel_task_seconds / self.parallel_wall_seconds)
-            if self.parallel_wall_seconds > 0.0 else 1.0)
+        extras.setdefault("wall_speedup", float(wall_speedup(
+            self.parallel_task_seconds, self.parallel_wall_seconds)))
         return StepReport(
             step=step,
             relinearized_variables=self.relin_variables,

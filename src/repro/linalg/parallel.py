@@ -148,6 +148,12 @@ class LevelStats:
         self.wall_seconds = 0.0
 
 
+def wall_speedup(task_seconds: float, wall_seconds: float) -> float:
+    """Achieved concurrency of pool dispatches: summed task time over
+    elapsed time, 1.0 when nothing was dispatched."""
+    return task_seconds / wall_seconds if wall_seconds > 0.0 else 1.0
+
+
 class ParallelStepExecutor(StepExecutor):
     """A :class:`StepExecutor` that runs one dependency level at a time.
 

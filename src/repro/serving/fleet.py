@@ -1,9 +1,12 @@
 """Multi-tenant session fleet: many SLAM sessions, one shared scheduler.
 
 A :class:`SessionFleet` multiplexes independent ISAM2 / RA-ISAM2
-sessions through one process by driving every session's
-:class:`~repro.solvers.isam2.PendingStep` phases in lockstep rounds, so
-the expensive middles fuse across sessions:
+sessions through one process.  Each round it opens every session's step
+with the solver's own ``begin_step`` (step counter and relinearization
+selection), drives every session's :class:`~repro.solvers.isam2.
+PendingStep` phases in lockstep, and closes each step with the solver's
+own ``end_step`` (report and budget-controller feedback) — the code a
+solo ``update`` runs.  The expensive middles fuse across sessions:
 
 * **Cross-session batch fusion** — every session's per-round
   linearization request (new factors, then relinearized factors) joins
@@ -24,11 +27,11 @@ the expensive middles fuse across sessions:
   own levels back to back.
 * **Graceful overload shedding** — an :class:`~repro.serving.admission.
   OverloadController` turns observed round latency into a
-  ``relin_scale`` that shrinks each session's *optional*
-  relinearization budget.  The solve is never shed: scaling happens
-  strictly after the mandatory charge (RA-ISAM2) or as a top-k cut of
-  the relin candidate list (ISAM2), and every admitted step still
-  refactorizes and back-substitutes at full fidelity.
+  ``relin_scale`` handed to each session's ``begin_step``, which
+  shrinks only the *optional* relinearization budget: strictly after
+  the mandatory charge (RA-ISAM2) or as a top-k cut of the relin
+  candidate list (ISAM2).  Every admitted step still refactorizes and
+  back-substitutes at full fidelity.
 
 Fault isolation: any session whose phase raises is marked dead and
 skipped for the rest of the fleet's life; the round continues for the
@@ -44,15 +47,16 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.instrumentation import StepContext
-from repro.linalg.parallel import LevelStats, ParallelStepExecutor
+from repro.linalg.parallel import (
+    LevelStats,
+    ParallelStepExecutor,
+    wall_speedup,
+)
 from repro.linalg.plan import PlanCache
 from repro.linalg.trace import OpTrace
-from repro.policy.selection import SelectionContext
 from repro.serving.admission import OverloadController
-from repro.solvers.base import StepReport
+from repro.solvers.base import SelectionPlan, StepReport
 from repro.solvers.batch_linearize import (
     LinearizeRequest,
     LinearizeResult,
@@ -64,16 +68,14 @@ from repro.validate import current_auditor
 
 @dataclass
 class FleetConfig:
-    """Feature switches and budgets of one fleet.
+    """Pool size and budgets of one fleet.
 
-    Disabling all three sharing switches degenerates the fleet into a
-    loop of isolated sessions — the baseline the serving benchmark
-    measures against.
+    Linearization fusion, the shared plan cache and merged level
+    dispatch are always on: each is bit-identical to isolated
+    per-session ``update()`` loops, so none needs a switch.
     """
 
-    fuse_linearization: bool = True
-    share_plan_cache: bool = True
-    merge_levels: bool = True
+    #: Shared thread-pool size (``None`` reads ``REPRO_WORKERS``).
     workers: Optional[int] = None
     #: Per-session step-latency budget fed to the admission controller.
     target_seconds: float = 1.0 / 30.0
@@ -103,18 +105,14 @@ class SessionHandle:
 class _Slot:
     """Per-round working state of one live session."""
 
-    __slots__ = ("handle", "ctx", "pending", "prep", "shed",
-                 "relin_keys", "report_kwargs", "estimated_seconds")
+    __slots__ = ("handle", "ctx", "plan", "pending", "prep")
 
     def __init__(self, handle: SessionHandle, ctx: StepContext):
         self.handle = handle
         self.ctx = ctx
+        self.plan: Optional[SelectionPlan] = None
         self.pending = None
         self.prep = None
-        self.shed = 0
-        self.relin_keys: List = []
-        self.report_kwargs: Dict[str, int] = {}
-        self.estimated_seconds: Optional[float] = None
 
 
 class SessionFleet:
@@ -122,8 +120,7 @@ class SessionFleet:
 
     def __init__(self, config: Optional[FleetConfig] = None):
         self.config = config if config is not None else FleetConfig()
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache() if self.config.share_plan_cache else None)
+        self.plan_cache = PlanCache()
         self.executor = ParallelStepExecutor(self.config.workers)
         self.controller = OverloadController(self.config.target_seconds)
         self.sessions: Dict[str, SessionHandle] = {}
@@ -144,8 +141,7 @@ class SessionFleet:
         if not hasattr(solver, "engine"):
             raise TypeError("solver must expose an .engine")
         handle = SessionHandle(session_id, len(self.sessions), solver)
-        if self.plan_cache is not None:
-            solver.engine.set_plan_cache(self.plan_cache)
+        solver.engine.set_plan_cache(self.plan_cache)
         solver.engine.set_executor(self.executor)
         self.sessions[session_id] = handle
         return handle
@@ -184,14 +180,12 @@ class SessionFleet:
                 continue
             ctx = StepContext(
                 OpTrace() if self.config.collect_traces else None,
-                step=handle.solver._step + 1)
+                step=handle.steps_completed)
             slot = _Slot(handle, ctx)
             try:
-                relin_keys = self._plan_relin(slot, new_factors, scale)
-                handle.solver._step += 1
+                slot.plan = handle.solver.begin_step(new_factors, scale)
                 slot.pending = handle.engine.update_begin(
                     new_values, new_factors, ctx)
-                slot.relin_keys = relin_keys
             except BaseException as exc:
                 self._kill(handle, exc)
                 continue
@@ -204,7 +198,7 @@ class SessionFleet:
                 result, sec))
         slots = self._linearize_phase(
             slots, lambda slot: slot.pending.relin_request(
-                slot.relin_keys),
+                slot.plan.selected),
             lambda slot, result, sec: slot.pending.apply_relin(
                 result, sec))
 
@@ -228,13 +222,13 @@ class SessionFleet:
             handle = slot.handle
             try:
                 info = slot.pending.finish()
-                report = self._build_report(slot, info)
+                report = self._end_step(slot, info)
             except BaseException as exc:
                 self._kill(handle, exc)
                 continue
             handle.reports.append(report)
             handle.steps_completed += 1
-            handle.shed_total += slot.shed
+            handle.shed_total += slot.plan.shed
             reports[handle.session_id] = report
         self.rounds += 1
         elapsed = time.perf_counter() - round_start
@@ -243,52 +237,6 @@ class SessionFleet:
         return reports
 
     # -- phase helpers --------------------------------------------------
-
-    def _plan_relin(self, slot: _Slot, new_factors: Sequence,
-                    scale: float) -> List:
-        """The session's relinearization set under the current scale.
-
-        RA-ISAM2 sessions run their budgeted greedy selection with the
-        optional budget shrunk to ``scale`` (shadow-counted sheds);
-        ISAM2 sessions keep the top ``ceil(scale * k)`` candidates in
-        the session policy's rank order (relevance by default),
-        re-sorted to position order so the retraction and gradient
-        float-accumulation order matches the solo path.  At
-        ``scale >= 1`` both paths are the solo selection, key for key.
-        """
-        solver = slot.handle.solver
-        if hasattr(solver, "plan_selection"):
-            plan = solver.plan_selection(new_factors, budget_scale=scale)
-            slot.shed = plan.shed
-            slot.estimated_seconds = plan.charged
-            slot.report_kwargs = {
-                "selection_visits": plan.visits,
-                "deferred_variables": plan.deferred,
-            }
-            return plan.selected
-        engine = slot.handle.engine
-        norms = engine.delta_norm_array()
-        order = engine.order
-        flagged = np.flatnonzero(norms > solver.relin_threshold)
-        if scale >= 1.0 or not flagged.size:
-            return [order[p] for p in flagged]
-        keep = int(np.ceil(scale * flagged.size))
-        positions = sorted((int(p) for p in flagged),
-                           key=lambda p: (-norms[p], p))
-        policy = getattr(solver, "selection_policy", None)
-        if policy is not None:
-            # Rank-only consult (no budget around): the policy reorders
-            # the relevance-ordered candidates, then the cut keeps the
-            # top-k of *its* order.  The default relevance policy is
-            # the identity here, bit-identical to the legacy cut.
-            candidates = [(float(norms[p]), order[p]) for p in positions]
-            kept = policy.rank(SelectionContext(
-                engine=engine, candidates=candidates))[:keep]
-            positions = [engine.pos_of[key] for _, key in kept]
-        else:
-            positions = positions[:keep]
-        slot.shed = int(flagged.size) - keep
-        return [order[p] for p in sorted(positions)]
 
     def _linearize_phase(self, slots: List[_Slot], request_of,
                          apply_result) -> List[_Slot]:
@@ -300,13 +248,11 @@ class SessionFleet:
         """
         participating: List[Tuple[_Slot, LinearizeRequest]] = []
         survivors: List[_Slot] = []
-        dead: List[_Slot] = []
         for slot in slots:
             try:
                 request = request_of(slot)
             except BaseException as exc:
                 self._kill(slot.handle, exc)
-                dead.append(slot)
                 continue
             survivors.append(slot)
             if request is not None:
@@ -315,7 +261,7 @@ class SessionFleet:
             return survivors
         killed: set = set()
         fused_ok = False
-        if self.config.fuse_linearization and len(participating) > 1:
+        if len(participating) > 1:
             start = time.perf_counter()
             try:
                 results = linearize_fused(
@@ -336,9 +282,9 @@ class SessionFleet:
                         self._kill(slot.handle, exc)
                         killed.add(id(slot))
         if not fused_ok:
-            # Per-session path: unfused config, single request, or fault
-            # isolation after a failed fused call (bit-identical — fusion
-            # only amortizes fixed cost).
+            # Per-session path: a single request, or fault isolation
+            # after a failed fused call (bit-identical — fusion only
+            # amortizes fixed cost).
             for slot, request in participating:
                 start = time.perf_counter()
                 try:
@@ -355,16 +301,6 @@ class SessionFleet:
         return survivors
 
     def _refactorize_phase(self, slots: List[_Slot]) -> List[_Slot]:
-        if not self.config.merge_levels:
-            survivors = []
-            for slot in slots:
-                try:
-                    slot.pending.refactorize()
-                except BaseException as exc:
-                    self._kill(slot.handle, exc)
-                    continue
-                survivors.append(slot)
-            return survivors
         survivors = []
         for slot in slots:
             try:
@@ -412,38 +348,25 @@ class SessionFleet:
             survivors.append(slot)
         return survivors
 
-    def _build_report(self, slot: _Slot, info: Dict) -> StepReport:
+    def _end_step(self, slot: _Slot, info: Dict) -> StepReport:
+        """Fleet attribution extras, then the solver's own report."""
         handle = slot.handle
-        ctx = slot.ctx
-        if slot.estimated_seconds is not None:
-            ctx.extras["estimated_seconds"] = slot.estimated_seconds
-        ctx.extras["session_id"] = float(handle.index)
-        ctx.extras["shed_relin_count"] = float(slot.shed)
-        if self.plan_cache is not None:
-            ctx.extras["fleet_plan_hits"] = float(self.plan_cache.hits)
-        else:
-            ctx.extras["fleet_plan_hits"] = float(
-                handle.engine.plan_cache.hits)
-        report = ctx.build_report(
-            handle.solver._step,
-            node_parents=handle.engine.node_parents(info["fresh_sids"]),
-            **slot.report_kwargs)
-        observe = getattr(handle.solver, "observe_report", None)
-        if observe is not None:
-            # Advance the session's budget controller exactly as the
-            # solo update() path would (no-op for the fixed default).
-            observe(report)
+        shed = slot.plan.shed
+        slot.ctx.extras["session_id"] = float(handle.index)
+        slot.ctx.extras["shed_relin_count"] = float(shed)
+        slot.ctx.extras["fleet_plan_hits"] = float(self.plan_cache.hits)
+        report = handle.solver.end_step(slot.ctx, info, slot.plan)
         aud = current_auditor()
         if aud is not None:
-            aud.check_nonneg(slot.shed, "fleet-shed-count",
+            aud.check_nonneg(shed, "fleet-shed-count",
                              "shed count cannot be negative",
                              session=handle.session_id)
-            aud.check(slot.shed == 0
+            aud.check(shed == 0
                       or self.controller.relin_scale < 1.0
                       or not self.config.degrade,
                       "fleet-shed-only-under-degradation",
                       "variables were shed at full relin scale",
-                      session=handle.session_id, shed=slot.shed)
+                      session=handle.session_id, shed=shed)
             aud.check(report.extras.get("plan_compiles", 0.0)
                       == report.extras.get("plan_misses", 0.0),
                       "fleet-plan-attribution",
@@ -455,10 +378,13 @@ class SessionFleet:
     # -- aggregates -----------------------------------------------------
 
     def aggregates(self) -> Dict[str, float]:
-        """Fleet-level counters for the CLI summary / benchmarks."""
-        cache = self.plan_cache
-        hits, misses, compiles, deep = (cache.snapshot() if cache
-                                        else (0, 0, 0, 0))
+        """Fleet-level counters for the CLI summary / benchmarks.
+
+        The ``parallel_*``/``wall_speedup`` pool statistics cover the
+        merged refactorization dispatches, which no session owns.
+        """
+        hits, misses, compiles, deep = self.plan_cache.snapshot()
+        stats = self.level_stats
         return {
             "rounds": float(self.rounds),
             "sessions": float(len(self.sessions)),
@@ -473,6 +399,10 @@ class SessionFleet:
             "fleet_plan_compiles": float(compiles),
             "fleet_plan_deep_compares": float(deep),
             "relin_scale": float(self.controller.relin_scale),
+            "parallel_nodes": float(stats.nodes),
+            "parallel_levels": float(stats.levels),
+            "wall_speedup": wall_speedup(stats.task_seconds,
+                                         stats.wall_seconds),
         }
 
 

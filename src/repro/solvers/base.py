@@ -2,17 +2,39 @@
 
 Every online solver exposes ``update(step) -> StepReport``; the report
 carries the work counters and the numeric operation trace that the
-latency experiments feed into the hardware simulator.
+latency experiments feed into the hardware simulator.  The incremental
+solvers split ``update`` into ``begin_step`` (returns the step's
+:class:`SelectionPlan`) and ``end_step`` (returns its report), so the
+serving fleet drives the same selection and report code as a solo
+``update``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
+from repro.factorgraph.keys import Key
 from repro.linalg.trace import OpTrace
 
 ParentMap = Dict[int, Optional[int]]
+
+
+class SelectionPlan(NamedTuple):
+    """Outcome of one step's relinearization-selection pass.
+
+    ``shed`` counts variables the *nominal* (unscaled) selection would
+    have relinearized but the overload-scaled one did not — the fleet's
+    graceful-degradation metric, zero whenever ``budget_scale >= 1``.
+    ``deferred``, ``charged`` and ``visits`` are the RA-ISAM2 budget's
+    bookkeeping (zero for plain ISAM2).
+    """
+
+    selected: List[Key]
+    deferred: int = 0
+    shed: int = 0
+    charged: float = 0.0
+    visits: int = 0
 
 
 @dataclass

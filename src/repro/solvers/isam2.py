@@ -88,8 +88,8 @@ from repro.linalg.plan import (
     tree_solve,
 )
 from repro.linalg.trace import NodeTrace
-from repro.policy.selection import make_selection_policy
-from repro.solvers.base import StepReport
+from repro.policy.selection import SelectionContext, make_selection_policy
+from repro.solvers.base import SelectionPlan, StepReport
 from repro.solvers.batch_linearize import (
     LinearizeRequest,
     LinearizeResult,
@@ -167,11 +167,6 @@ class IncrementalEngine:
         back-substitution phases (see :mod:`repro.linalg.parallel`);
         results are bit-identical at every count.  ``1`` runs each
         level inline; ``None`` reads ``REPRO_WORKERS`` (default 1).
-    plan_cache:
-        External :class:`~repro.linalg.plan.PlanCache` to use instead of
-        a private one — the serving fleet shares a single cache across
-        sessions (signatures cover per-factor geometry, so cross-engine
-        hits are sound).
     """
 
     #: Engine-supported ordering modes (batch policies don't apply online).
@@ -181,8 +176,7 @@ class IncrementalEngine:
                  wildfire_tol: float = 1e-5, damping: float = 0.0,
                  ordering: str = "chronological",
                  reorder_interval: int = 25, reorder_min_suffix: int = 8,
-                 workers: Optional[int] = None,
-                 plan_cache: Optional[PlanCache] = None):
+                 workers: Optional[int] = None):
         self.max_supernode_vars = int(max_supernode_vars)
         self.relax_fill = int(relax_fill)
         self.wildfire_tol = float(wildfire_tol)
@@ -224,7 +218,7 @@ class IncrementalEngine:
         self.node_of: List[int] = []
         self._next_sid = 0
 
-        self._plans = plan_cache if plan_cache is not None else PlanCache()
+        self._plans = PlanCache()
         self._executor = ParallelStepExecutor(workers)
 
     @property
@@ -1013,9 +1007,12 @@ class PendingStep:
     *fused across sessions*: linearization requests are batched through
     one cross-session SoA kernel call, and refactorization levels are
     merged into shared ``run_level`` dispatches.  :meth:`IncrementalEngine
-    .update` drives the identical protocol inline, so solo and fleet
-    execution share every line of phase code — bit-identity between them
-    is by construction, not by parallel maintenance.
+    .update` drives the identical protocol inline.  Under both drivers
+    the session solver's ``begin_step`` picks the relinearization keys
+    before the step opens and its ``end_step`` builds the report after
+    :meth:`finish`, so solo and fleet execution share every line of
+    selection, phase and report code — bit-identity between them is by
+    construction, not by parallel maintenance.
 
     Protocol order (a phase must not be skipped, only its request may be
     None):
@@ -1268,9 +1265,10 @@ class ISAM2:
     selection_policy / selection_seed:
         Registered :class:`~repro.policy.selection.SelectionPolicy`
         name or instance.  Plain ISAM2 is unbudgeted, so the policy
-        never changes a solo step — it is consulted (rank-only) by the
-        serving fleet to pick *which* flagged variables a degraded
-        session keeps when overload shedding cuts the candidate list.
+        never changes a full-scale step — :meth:`begin_step` consults
+        it (rank-only) to pick *which* flagged variables a degraded
+        step keeps when overload shedding (``budget_scale < 1``) cuts
+        the candidate list.
     ordering / reorder_interval:
         Engine ordering mode (``chronological`` or
         ``constrained_colamd``) and re-ordering cadence; see
@@ -1284,8 +1282,7 @@ class ISAM2:
                  selection_seed: int = 0,
                  ordering: str = "chronological",
                  reorder_interval: int = 25,
-                 workers: Optional[int] = None,
-                 plan_cache: Optional[PlanCache] = None):
+                 workers: Optional[int] = None):
         self.relin_threshold = float(relin_threshold)
         self.selection_policy = make_selection_policy(
             selection_policy, seed=selection_seed)
@@ -1293,24 +1290,56 @@ class ISAM2:
             max_supernode_vars=max_supernode_vars,
             wildfire_tol=wildfire_tol, damping=damping,
             ordering=ordering, reorder_interval=reorder_interval,
-            workers=workers, plan_cache=plan_cache)
+            workers=workers)
         self._step = -1
+
+    def begin_step(self, new_factors: Sequence[Factor],
+                   budget_scale: float = 1.0) -> SelectionPlan:
+        """Advance the step counter; pick the relinearization set.
+
+        Every variable with ``‖delta_j‖∞ > relin_threshold`` is
+        selected.  Below ``budget_scale`` 1 (the serving fleet's
+        overload shedding) only the top ``ceil(scale * k)`` of the
+        ``k`` flagged variables stay, in the selection policy's rank
+        order over the relevance-ordered candidates, re-sorted to
+        position order so the retraction and gradient float
+        accumulation run in the unscaled order; the rest are shed.
+        """
+        self._step += 1
+        engine = self.engine
+        norms = engine.delta_norm_array()
+        order = engine.order
+        flagged = np.flatnonzero(norms > self.relin_threshold)
+        if budget_scale >= 1.0 or not flagged.size:
+            return SelectionPlan([order[p] for p in flagged])
+        keep = int(np.ceil(budget_scale * flagged.size))
+        ranked = sorted((int(p) for p in flagged),
+                        key=lambda p: (-norms[p], p))
+        kept = self.selection_policy.rank(SelectionContext(
+            engine=engine,
+            candidates=[(float(norms[p]), order[p]) for p in ranked]))
+        positions = sorted(engine.pos_of[key] for _, key in kept[:keep])
+        return SelectionPlan([order[p] for p in positions],
+                             shed=int(flagged.size) - keep)
+
+    def end_step(self, ctx: StepContext, info: Dict[str, object],
+                 plan: SelectionPlan) -> StepReport:
+        """Build the step's report from the engine's ``info``."""
+        return ctx.build_report(
+            self._step,
+            node_parents=self.engine.node_parents(info["fresh_sids"]),
+            selection_visits=plan.visits,
+            deferred_variables=plan.deferred)
 
     def update(self, new_values: Dict[Key, object],
                new_factors: Sequence[Factor],
                context: Optional[StepContext] = None) -> StepReport:
         """Process one timestep of the online SLAM problem."""
-        self._step += 1
         ctx = context if context is not None else StepContext()
-        norms = self.engine.delta_norm_array()
-        order = self.engine.order
-        relin = [order[p]
-                 for p in np.flatnonzero(norms > self.relin_threshold)]
-        info = self.engine.update(new_values, new_factors, relin,
+        plan = self.begin_step(new_factors)
+        info = self.engine.update(new_values, new_factors, plan.selected,
                                   context=ctx)
-        return ctx.build_report(
-            self._step,
-            node_parents=self.engine.node_parents(info["fresh_sids"]))
+        return self.end_step(ctx, info, plan)
 
     def estimate(self) -> Values:
         return self.engine.estimate()

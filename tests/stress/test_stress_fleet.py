@@ -1,8 +1,8 @@
 """Audited randomized sweep over the multi-tenant serving fleet.
 
 Each configuration multiplexes a random mix of ISAM2 / RA-ISAM2
-sessions — random trajectory lengths, random feature toggles, random
-degradation targets — through one :class:`SessionFleet`, with sessions
+sessions — random trajectory lengths, worker counts and degradation
+targets — through one :class:`SessionFleet`, with sessions
 joining rounds on random *interleavings* (a session may sit rounds out
 while others step).  The conservation auditor is installed end to end,
 so every budget charge, plan-cache signature and refactorization runs
@@ -39,10 +39,10 @@ class _PoisonFactor(BetweenFactorSE2):
 def _random_fleet(rng, degrade_floor: float = 1e-12):
     """A random fleet plus per-session random workloads."""
     num_sessions = int(rng.integers(2, 6))
+    # The three draws of the removed sharing switches: kept so every
+    # seed still generates the fleet and workloads it always did.
+    rng.integers(0, 2, size=3)
     config = FleetConfig(
-        fuse_linearization=bool(rng.integers(0, 2)),
-        share_plan_cache=bool(rng.integers(0, 2)),
-        merge_levels=bool(rng.integers(0, 2)),
         degrade=bool(rng.integers(0, 2)),
         target_seconds=float(rng.choice([degrade_floor, 1e-4, 1.0])),
         workers=int(rng.integers(1, 3)),

@@ -1,12 +1,15 @@
 """Serving-layer tests: fleet bit-identity, shedding, fault isolation.
 
 The multi-tenant fleet is an execution-strategy change only: with
-degradation off, every sharing feature (fused linearization, shared
+degradation off, its cross-session sharing (fused linearization, shared
 plan cache, merged level scheduling) must leave each session's
 estimates bit-identical (atol 0) to a plain per-session ``update()``
-loop.  Degradation sheds relinearization breadth only — the solve of
-every admitted step still runs.
+loop, and each session's step reports equal to the solo ones.
+Degradation sheds relinearization breadth only — the solve of every
+admitted step still runs.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro.serving import (
     compare_snapshots,
     default_solver_factory,
     fleet_workload,
+    named_fleet_workload,
     run_fleet,
     run_isolated,
     snapshot_estimate,
@@ -76,22 +80,53 @@ def test_fleet_bit_identical_raisam2():
     assert "estimated_seconds" in report.extras
 
 
-@pytest.mark.parametrize("fuse,share,merge", [
-    (False, True, True),
-    (True, False, True),
-    (True, True, False),
-    (False, False, False),
-])
-def test_fleet_feature_toggles_stay_bit_identical(fuse, share, merge):
-    """Every sharing feature is individually a pure execution-strategy
-    change: toggling it off cannot move a single bit."""
-    workloads = fleet_workload(3, 12)
-    factory = default_solver_factory()
+def _slambooster_factory():
+    return RAISAM2(NodeCostModel(make_platform("SuperNoVA1S")),
+                   target_seconds=1.0 / 300.0,
+                   budget_controller="slambooster")
+
+
+#: Extras only the fleet writes.
+_FLEET_EXTRAS = {"session_id", "shed_relin_count", "fleet_plan_hits"}
+#: Extras that depend on the run, not on the step: wall-clock seconds,
+#: plan-cache traffic (the fleet's cache is shared across sessions) and
+#: pool-dispatch statistics (the fleet merges levels across sessions).
+_RUN_EXTRAS = {"lin_seconds", "refactor_seconds", "plan_hits",
+               "plan_misses", "plan_compiles", "parallel_nodes",
+               "parallel_levels", "wall_speedup"}
+
+
+@pytest.mark.parametrize("factory", [
+    _slambooster_factory, default_solver_factory()],
+    ids=["raisam2", "isam2"])
+def test_fleet_reports_equal_solo_reports(factory):
+    """Under the fleet each session's step reports what a solo
+    ``update()`` reports — the same counters, and the same extras plus
+    the fleet's attribution — because both drivers call the solver's
+    own ``begin_step``/``end_step``.  The SLAMBooster controller at a
+    tight target moves the budget scale off 1.0 on part of the
+    kidnapped-robot steps, so ``budget_target_scale`` is exercised."""
+    workloads = named_fleet_workload("kidnapped", 3, 40)
     iso = run_isolated(workloads, factory)
-    flt, _ = run_fleet(workloads, factory, FleetConfig(
-        fuse_linearization=fuse, share_plan_cache=share,
-        merge_levels=merge, degrade=False))
+    flt, _ = run_fleet(workloads, factory, FleetConfig(degrade=False))
     compare_snapshots(iso.snapshots, flt.snapshots, atol=0.0)
+    counters = [f.name for f in dataclasses.fields(StepReport)
+                if f.name != "extras"]
+    for sid, solo_reports in iso.reports.items():
+        assert len(flt.reports[sid]) == len(solo_reports)
+        for solo, served in zip(solo_reports, flt.reports[sid]):
+            where = f"session {sid} step {solo.step}"
+            for name in counters:
+                assert getattr(served, name) == getattr(solo, name), \
+                    f"{where}: {name}"
+            assert set(served.extras) == set(solo.extras) | _FLEET_EXTRAS, \
+                where
+            for key in set(solo.extras) - _RUN_EXTRAS:
+                assert served.extras[key] == solo.extras[key], \
+                    f"{where}: {key}"
+    scaled = sum("budget_target_scale" in report.extras
+                 for reports in iso.reports.values() for report in reports)
+    assert (scaled > 0) == (factory is _slambooster_factory)
 
 
 # -- shared plan cache -------------------------------------------------
@@ -311,6 +346,25 @@ def test_as_dict_preserves_every_extras_key():
     assert flat["refactored_nodes"] == 2.0
     for key, value in report.extras.items():
         assert flat[key] == value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aggregates_report_merged_level_dispatches(workers):
+    """The merged refactorization levels' pool statistics reach the
+    fleet aggregates (no session report carries them).  One worker runs
+    every level inline: nothing dispatched, speedup 1.0."""
+    _, fleet = run_fleet(fleet_workload(6, 30), default_solver_factory(),
+                         FleetConfig(workers=workers, degrade=False))
+    agg = fleet.aggregates()
+    if workers == 1:
+        assert agg["parallel_nodes"] == agg["parallel_levels"] == 0.0
+        assert agg["wall_speedup"] == 1.0
+    else:
+        # Six identical-topology sessions: every merged level holds at
+        # least one front per session.
+        assert agg["parallel_levels"] > 0.0
+        assert agg["parallel_nodes"] >= 6 * agg["parallel_levels"]
+        assert agg["wall_speedup"] > 0.0
 
 
 def test_fleet_reports_carry_serving_extras():
