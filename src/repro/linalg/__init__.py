@@ -20,7 +20,6 @@ from repro.linalg.ordering import (
     amd_order_positions,
     chronological_order,
     constrained_colamd_order,
-    constrained_minimum_degree_order,
     dense_minimum_degree_order,
     make_ordering_policy,
     minimum_degree_order,
@@ -56,7 +55,6 @@ __all__ = [
     "amd_order_positions",
     "chronological_order",
     "constrained_colamd_order",
-    "constrained_minimum_degree_order",
     "dense_minimum_degree_order",
     "make_ordering_policy",
     "minimum_degree_order",

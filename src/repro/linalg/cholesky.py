@@ -32,6 +32,7 @@ from repro.linalg.plan import (
     flatten_rhs,
     node_signature,
     plans_equal,
+    record_node_ops,
     tree_solve,
 )
 from repro.linalg.symbolic import SymbolicFactorization
@@ -159,12 +160,13 @@ class MultifrontalCholesky:
     ) -> None:
         """Assemble and factorize all supernodes bottom-up.
 
-        Plan resolution and trace-node creation run on the main thread
-        in ``node_order()``, so plan-cache traffic and trace insertion
-        order are the same at every worker count.  Each dependency
-        level's ``factorize_node`` calls — their child updates gathered
-        in the node's child order — then go through one
+        Plan resolution runs on the main thread in supernode order, so
+        plan-cache traffic is the same at every worker count.  Each
+        dependency level's ``factorize_node`` calls — their child
+        updates gathered in the node's child order — then go through one
         :meth:`~repro.linalg.parallel.ParallelStepExecutor.run_level`.
+        After the last level barrier the nodes' ops are recorded on the
+        main thread, in supernode order.
         """
         symbolic = self.symbolic
         node_factors: Dict[int, List[int]] = {}
@@ -180,15 +182,9 @@ class MultifrontalCholesky:
 
         aud = current_auditor()
         executor = self._executor
-        plans = []
-        traces = []
-        for sid, node in enumerate(symbolic.supernodes):
-            plan = self._plan_for(sid, node, node_factors.get(sid, ()),
-                                  contributions, aud)
-            plans.append(plan)
-            traces.append(trace.node(sid, cols=plan.m,
-                                     rows_below=plan.front_size - plan.m)
-                          if trace is not None else None)
+        plans = [self._plan_for(sid, node, node_factors.get(sid, ()),
+                                contributions, aud)
+                 for sid, node in enumerate(symbolic.supernodes)]
         updates: Dict[int, np.ndarray] = {}
         for level in self._levels:
             tasks = []
@@ -200,9 +196,8 @@ class MultifrontalCholesky:
                 children = symbolic.supernodes[sid].children
                 child_updates = [updates.pop(child) for child in children]
                 tasks.append(
-                    lambda p=plan, h=hessians, c=child_updates,
-                    t=traces[sid]:
-                    executor.factorize_node(p, h, c, self.damping, t))
+                    lambda p=plan, h=hessians, c=child_updates:
+                    executor.factorize_node(p, h, c, self.damping))
                 # Largest front first: the level's straggler starts
                 # earliest (m * front^2 ~ the partial-factorize flops).
                 priorities.append(
@@ -214,6 +209,13 @@ class MultifrontalCholesky:
                 self._l_b[sid] = l_b
                 if symbolic.supernodes[sid].parent != -1:
                     updates[sid] = c_update
+        if trace is not None:
+            for sid, plan in enumerate(plans):
+                record_node_ops(
+                    trace.node(sid, cols=plan.m,
+                               rows_below=plan.front_size - plan.m),
+                    plan.m, plan.front_size, plan.factor_trace,
+                    plan.child_sizes)
 
     def _plan_for(self, sid: int, node, assigned: Sequence[int],
                   contributions: Sequence[FactorContribution], aud):

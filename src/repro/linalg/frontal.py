@@ -8,7 +8,7 @@ into the parent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -21,8 +21,6 @@ try:
     _cholesky_lo = _umath.cholesky_lo
 except (ImportError, AttributeError):  # pragma: no cover
     _cholesky_lo = None
-
-from repro.linalg.trace import NodeTrace, OpKind
 
 
 class SingularHessianError(RuntimeError):
@@ -96,12 +94,13 @@ def solve_lower_triangular(l_a: np.ndarray, b: np.ndarray,
 def factorize_front(
     front: np.ndarray,
     m: int,
-    trace: Optional[NodeTrace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial factorization of a frontal matrix (paper Fig. 5 bottom).
 
     Returns ``(L_A, L_B, C_update)`` where ``C_update`` is the Schur
-    complement to extend-add into the parent.
+    complement to extend-add into the parent.  Numerics only: the
+    POTRF/TRSM/SYRK/copy-out ops are recorded by
+    :func:`repro.linalg.plan.record_node_ops`.
     """
     n_below = front.shape[0] - m
     a_block = front[:m, :m]
@@ -124,19 +123,12 @@ def factorize_front(
         raise SingularHessianError(
             f"supernode diagonal block ({m}x{m}) not positive definite; "
             "the graph may lack a prior — add one or use damping")
-    if trace is not None:
-        trace.record(OpKind.POTRF, m)
     if n_below:
         b_block = front[m:, :m]
         # L_B = B L_A^-T, computed as (L_A^-1 B^T)^T.
         l_b = solve_lower_triangular(l_a, b_block.T).T
         c_update = front[m:, m:] - l_b @ l_b.T
-        if trace is not None:
-            trace.record(OpKind.TRSM, n_below, m)
-            trace.record(OpKind.SYRK, n_below, m)
     else:
         l_b = np.zeros((0, m))
         c_update = np.zeros((0, 0))
-    if trace is not None:
-        trace.record(OpKind.MEMCPY, 4 * (m + n_below) * m)
     return l_a, l_b, c_update

@@ -180,15 +180,14 @@ def constrained_colamd_order(
 # Dense greedy minimum degree (kept as the microbenchmark baseline)
 # ----------------------------------------------------------------------
 
-def _greedy_min_degree(num_vars: int, adjacency: List[Set[int]],
-                       eligible: Sequence[bool]) -> List[int]:
+def _greedy_min_degree(num_vars: int,
+                       adjacency: List[Set[int]]) -> List[int]:
     """Exact greedy minimum degree with the dense clique update.
 
     O(clique^2) per elimination — the pre-AMD behavior, retained as the
-    ordering-quality baseline.  Ineligible variables contribute to
-    degrees but are never eliminated (virtual tail support).
+    ordering-quality baseline.
     """
-    heap = [(len(adjacency[v]), v) for v in range(num_vars) if eligible[v]]
+    heap = [(len(adjacency[v]), v) for v in range(num_vars)]
     heapq.heapify(heap)
     eliminated = [False] * num_vars
     order: List[int] = []
@@ -210,7 +209,7 @@ def _greedy_min_degree(num_vars: int, adjacency: List[Set[int]],
                 if a != b and b not in adjacency[a]:
                     adjacency[a].add(b)
         for a in neighbors:
-            if eligible[a] and not eliminated[a]:
+            if not eliminated[a]:
                 heapq.heappush(heap, (len(adjacency[a]), a))
     return order
 
@@ -233,7 +232,7 @@ def dense_minimum_degree_order(
             for b in members:
                 if a != b:
                     adjacency[a].add(b)
-    order = _greedy_min_degree(len(ranked), adjacency, [True] * len(ranked))
+    order = _greedy_min_degree(len(ranked), adjacency)
     return [ranked[i] for i in order]
 
 
@@ -248,52 +247,6 @@ def minimum_degree_order(
     variant survives as :func:`dense_minimum_degree_order`.
     """
     return amd_order(keys, factor_keys)
-
-
-def constrained_minimum_degree_order(
-    keys: Iterable[Key],
-    factor_keys: Sequence[Tuple[Key, ...]],
-    last_keys: Iterable[Key],
-) -> List[Key]:
-    """Dense minimum degree with a set of keys forced to the end.
-
-    The head is ordered on the *projected* elimination graph: a factor
-    reaching into the "last" set keeps one shared virtual tail member
-    (so tail adjacency still raises head degrees), and the head-side
-    neighbors of each last variable are connected into a clique — their
-    columns all extend into that variable's rows, so eliminating any of
-    them fills the others pairwise.  The earlier implementation simply
-    dropped the tail members, underestimating head-side fill.
-    """
-    last = list(dict.fromkeys(last_keys))  # de-dup, preserve order
-    last_set = set(last)
-    ranked = sorted(k for k in keys if k not in last_set)
-    rank = {k: i for i, k in enumerate(ranked)}
-    tail = len(ranked)  # single virtual tail variable, never eliminated
-    adjacency: List[Set[int]] = [set() for _ in range(tail + 1)]
-    tail_neighbors: Dict[Key, Set[int]] = {}
-    for fkeys in factor_keys:
-        members = list(dict.fromkeys(fkeys))
-        head = [rank[k] for k in members if k not in last_set]
-        rest = [k for k in members if k in last_set]
-        for a in head:
-            for b in head:
-                if a != b:
-                    adjacency[a].add(b)
-        if rest and head:
-            for a in head:
-                adjacency[a].add(tail)
-                adjacency[tail].add(a)
-            for k in rest:
-                tail_neighbors.setdefault(k, set()).update(head)
-    for neighborhood in tail_neighbors.values():
-        for a in neighborhood:
-            for b in neighborhood:
-                if a != b:
-                    adjacency[a].add(b)
-    eligible = [True] * tail + [False]
-    head_order = _greedy_min_degree(tail + 1, adjacency, eligible)
-    return [ranked[i] for i in head_order] + sorted(last)
 
 
 # ----------------------------------------------------------------------

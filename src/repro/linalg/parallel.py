@@ -29,12 +29,12 @@ factors and traces).  Three rules make that hold:
   sweep and rhs/carry scatter run on the main thread in head order
   after the level barrier, and the triangular sweeps of
   :func:`repro.linalg.plan.tree_solve` are not level-scheduled at all.
-* **Canonical trace order.**  Per-node traces are created on the main
-  thread in head order before dispatch (refactorize, batch factorize)
-  or recorded detached and adopted afterwards in descending
-  last-position order (back-substitution), so ``OpTrace`` insertion
-  order — which feeds the left-to-right float sum in
-  ``sequential_cycles`` — is the same at every worker count.
+* **Pool tasks never touch a trace.**  The kernels do numerics only;
+  every op is recorded on the main thread after the last level barrier
+  — refactorize in head order, batch factorize in supernode order,
+  back-substitution in descending last-position order — so ``OpTrace``
+  insertion order, which feeds the left-to-right float sum in
+  ``sequential_cycles``, is the same at every worker count.
 
 ``workers`` resolution: ``None`` reads ``REPRO_WORKERS`` (default 1 =
 inline), ``<= 0`` means one worker per CPU.

@@ -22,8 +22,11 @@ Executing a plan reproduces the legacy per-factor loop *exactly*:
   same single float add per cell, in the same factor-then-child order,
   as the sequential ``scatter_add_block`` calls it replaces.
 * Trace-op metadata (the per-factor MEMCPY/GEMM/SCATTER_ADD dims, the
-  per-child SCATTER_ADD dims) is frozen into the plan so recorded op
-  streams are identical, record for record.
+  per-child SCATTER_ADD dims) is frozen into the plan, and
+  :func:`record_node_ops` — the one writer of a node's assembly and
+  partial-factorization ops — turns it into the recorded op stream on
+  the main thread, record for record.  The executor's kernels do
+  numerics only and never touch a trace.
 
 Cache correctness
 -----------------
@@ -64,8 +67,7 @@ class Signature:
     engine uses ``(graph index, positions, residual_dim)`` triples, the
     batch solver ``(assembly index, positions, residual_dim)``).  A
     ``hash`` of None (the stale marker) never matches anything with a
-    real hash.  Raw 4-tuples are accepted anywhere a Signature is (they
-    are wrapped via :meth:`of`), so legacy callers keep working.
+    real hash.
     """
 
     __slots__ = ("hash", "parts")
@@ -82,13 +84,10 @@ class Signature:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signature):
-            if isinstance(other, tuple):
-                other = Signature.of(other)
-            else:
-                return NotImplemented
+            return NotImplemented
         if self.hash is None or other.hash is None:
             # Stale marker: only equal to another stale marker with the
-            # same parts (preserves the legacy tuple semantics).
+            # same parts.
             return (self.hash is None and other.hash is None
                     and self.parts == other.parts)
         if self.hash != other.hash:
@@ -225,8 +224,6 @@ def compile_node_plan(
         The row pattern of each child whose update matrix is
         extend-added, in extend-add order.
     """
-    if not isinstance(signature, Signature):
-        signature = Signature.of(tuple(signature))
     offsets, m, front_size = front_offsets(positions, pattern, dims)
 
     factor_ids = []
@@ -364,8 +361,6 @@ class PlanCache:
     def lookup(self, key, signature: Signature) -> Optional[NodePlan]:
         plan = self._plans.get(key)
         if plan is not None:
-            if not isinstance(signature, Signature):
-                signature = Signature.of(tuple(signature))
             cached = plan.signature
             if cached.hash is not None and cached.hash == signature.hash:
                 if (cached.parts is not None
@@ -398,6 +393,37 @@ class PlanCache:
         return self.hits, self.misses, self.compiles, self.deep_compares
 
 
+def record_node_ops(trace: NodeTrace, m: int, front_size: int,
+                    factor_trace: Sequence[Tuple[int, int]],
+                    child_sizes: Sequence[int]) -> None:
+    """Record one supernode's assembly and partial-factorization ops.
+
+    The one place that writes this op sequence (paper Fig. 5): workspace
+    memset, per-factor Hessian construction (prefetch + small GEMM +
+    scatter), child extend-add scatters, POTRF, TRSM and SYRK when the
+    node has rows below, and the copy-out.  ``factor_trace`` holds
+    ``(residual_dim, factor_dim)`` per assembled factor and
+    ``child_sizes`` the update-matrix size of each extend-added child,
+    as a :class:`NodePlan` stores them.  The refactorizing solvers call
+    it after the level barrier, and the cost model's synthetic node is
+    built from it.
+    """
+    record = trace.record
+    record(OpKind.MEMSET, 4 * front_size * front_size)
+    for residual_dim, df in factor_trace:
+        record(OpKind.MEMCPY, 4 * residual_dim * (df + 1))
+        record(OpKind.GEMM, df, df, residual_dim)
+        record(OpKind.SCATTER_ADD, df, df)
+    for nc in child_sizes:
+        record(OpKind.SCATTER_ADD, nc, nc)
+    record(OpKind.POTRF, m)
+    n_below = front_size - m
+    if n_below:
+        record(OpKind.TRSM, n_below, m)
+        record(OpKind.SYRK, n_below, m)
+    record(OpKind.MEMCPY, 4 * front_size * m)
+
+
 class StepExecutor:
     """Stateless numeric executor over compiled :class:`NodePlan`s.
 
@@ -405,7 +431,9 @@ class StepExecutor:
     back-substitution, marginal solves) and the batch multifrontal
     solver — one implementation of the frontal assembly, partial
     factorization and triangular-solve arithmetic, bit-identical to the
-    per-factor loops it replaced (see the module docstring).
+    per-factor loops it replaced (see the module docstring).  Its
+    kernels do numerics only; callers record the matching ops on the
+    main thread.
     """
 
     __slots__ = ()
@@ -416,7 +444,6 @@ class StepExecutor:
         hessians: Sequence[np.ndarray],
         child_updates: Sequence[np.ndarray],
         damping: float,
-        node_trace: Optional[NodeTrace],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assemble and partially factorize one frontal matrix.
 
@@ -426,27 +453,15 @@ class StepExecutor:
         """
         front = np.zeros((plan.front_size, plan.front_size))
         flat = front.ravel()
-        if node_trace is not None:
-            node_trace.record(OpKind.MEMSET,
-                              4 * plan.front_size * plan.front_size)
         if hessians:
             np.add.at(flat, plan.factor_flat_idx,
                       np.concatenate([h.ravel() for h in hessians]))
-            if node_trace is not None:
-                for residual_dim, df in plan.factor_trace:
-                    node_trace.record(OpKind.MEMCPY,
-                                      4 * residual_dim * (df + 1))
-                    node_trace.record(OpKind.GEMM, df, df, residual_dim)
-                    node_trace.record(OpKind.SCATTER_ADD, df, df)
         if child_updates:
             np.add.at(flat, plan.child_flat_idx,
                       np.concatenate([c.ravel() for c in child_updates]))
-            if node_trace is not None:
-                for nc in plan.child_sizes:
-                    node_trace.record(OpKind.SCATTER_ADD, nc, nc)
         if damping:
             flat[plan.diag_idx] += damping
-        return factorize_front(front, plan.m, node_trace)
+        return factorize_front(front, plan.m)
 
     def forward_update(
         self,
@@ -454,7 +469,6 @@ class StepExecutor:
         l_a: np.ndarray,
         l_b: np.ndarray,
         rhs: np.ndarray,
-        node_trace: Optional[NodeTrace],
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Forward solve ``L_A y = rhs`` and spread ``v = L_B y``.
 
@@ -462,13 +476,8 @@ class StepExecutor:
         pattern).
         """
         y = solve_lower_triangular(l_a, rhs)
-        if node_trace is not None:
-            node_trace.record(OpKind.TRSV, plan.m)
         if plan.pattern_arr.size:
-            v = l_b @ y
-            if node_trace is not None:
-                node_trace.record(OpKind.GEMV, v.size, plan.m)
-            return y, v
+            return y, l_b @ y
         return y, None
 
     def backsolve_node(
@@ -477,18 +486,12 @@ class StepExecutor:
         l_b: np.ndarray,
         y: np.ndarray,
         above: Optional[np.ndarray],
-        node_trace: Optional[NodeTrace],
     ) -> np.ndarray:
         """Back-substitute one node: ``L_A^T x = y - L_B^T x_above``."""
         rhs = y.copy()
         if above is not None:
             rhs -= l_b.T @ above
-            if node_trace is not None:
-                node_trace.record(OpKind.GEMV, rhs.size, above.size)
-        x = solve_lower_triangular(l_a, rhs, trans=1)
-        if node_trace is not None:
-            node_trace.record(OpKind.TRSV, rhs.size)
-        return x
+        return solve_lower_triangular(l_a, rhs, trans=1)
 
 
 def flatten_rhs(blocks: Sequence[np.ndarray],

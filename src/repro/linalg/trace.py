@@ -11,7 +11,7 @@ Storage is columnar (structure-of-arrays): a :class:`NodeTrace` keeps one
 materializes derived numpy columns (``flops_array``, ``bytes_array``,
 ``memory_mask``, ``inner_dims``) the vectorized platform pricing consumes
 (``price_ops`` in :mod:`repro.hardware.platforms`).  The row-wise view —
-``record()``, ``split()``, ``workspace_bytes``, iterating ``.ops`` as
+``record()``, ``workspace_bytes``, iterating ``.ops`` as
 :class:`Op` values — is unchanged from the list-of-dataclasses layout, so
 solvers and tests are agnostic to the layout; :class:`Op` doubles as the
 scalar pricing reference the dual-path equivalence tests pin against.
@@ -392,19 +392,6 @@ class NodeTrace:
     def bytes_moved(self) -> int:
         return int(self._int_flops_bytes()[1].sum())
 
-    def extend_from(self, other: "NodeTrace") -> None:
-        """Append another trace's ops (columnar concat, one C-level copy).
-
-        Used to merge a detached per-node trace recorded off the main
-        thread back into the canonical trace; cached columns and the
-        lane memo invalidate through the version bump.
-        """
-        if not other._codes:
-            return
-        self._codes.extend(other._codes)
-        self._dims.extend(other._dims)
-        self._version += 1
-
     @property
     def workspace_bytes(self) -> int:
         """Frontal workspace footprint (paper Algorithm 2's calc_space)."""
@@ -484,22 +471,6 @@ class OpTrace:
             trace.cols = max(trace.cols, cols)
             trace.rows_below = max(trace.rows_below, rows_below)
         return trace
-
-    def adopt(self, trace: NodeTrace) -> None:
-        """Merge a detached :class:`NodeTrace` recorded by a level task
-        (inline or on a pool thread): append its ops when the node
-        already exists, else install it as-is.  Callers adopt in a fixed node order (the
-        engine's back-substitution: descending last position), so the
-        insertion order the float-order-sensitive consumers
-        (``sequential_cycles``) depend on never varies with dispatch."""
-        existing = self.nodes.get(trace.node_id)
-        if existing is None:
-            self.nodes[trace.node_id] = trace
-        else:
-            existing.cols = max(existing.cols, trace.cols)
-            existing.rows_below = max(existing.rows_below,
-                                      trace.rows_below)
-            existing.extend_from(trace)
 
     def _all_traces(self) -> List[NodeTrace]:
         return list(self.nodes.values()) + [self.loose]

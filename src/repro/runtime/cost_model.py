@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.hardware.platforms import SoCConfig
+from repro.linalg.plan import record_node_ops
 from repro.linalg.trace import NodeTrace, OpKind
 from repro.runtime.executor import SELECTION_CYCLES_PER_VISIT
 from repro.runtime.scheduler import RuntimeFeatures, node_cycles, \
@@ -23,27 +24,17 @@ def synthesize_node_ops(m: int, n_below: int, num_factors: int,
                         residual_dim: int = 3) -> NodeTrace:
     """Build the op sequence of a supernode with the given dimensions.
 
-    Mirrors the ops one refactorized supernode records
-    (``StepExecutor.factorize_node`` then ``forward_update``): workspace
-    memset, per-factor Hessian construction (prefetch + small GEMM +
-    scatter), child merge scatter, partial factorization, copy-out, and
-    the solve sweep.
+    The ops one refactorized supernode records: its assembly and partial
+    factorization from :func:`~repro.linalg.plan.record_node_ops`
+    (``num_factors`` factors of one typical shape, one child merge of
+    the typical update-matrix size when the node has rows below), then
+    the solve sweep — forward TRSV, GEMV when the node has rows below,
+    and the back-substitution TRSV.
     """
-    front = m + n_below
     trace = NodeTrace(node_id=-1, cols=m, rows_below=n_below)
-    trace.record(OpKind.MEMSET, 4 * front * front)
-    for _ in range(max(0, num_factors)):
-        trace.record(OpKind.MEMCPY, 4 * residual_dim * (factor_dim + 1))
-        trace.record(OpKind.GEMM, factor_dim, factor_dim, residual_dim)
-        trace.record(OpKind.SCATTER_ADD, factor_dim, factor_dim)
-    if n_below:
-        # One child merge of the typical update-matrix size.
-        trace.record(OpKind.SCATTER_ADD, n_below, n_below)
-    trace.record(OpKind.POTRF, m)
-    if n_below:
-        trace.record(OpKind.TRSM, n_below, m)
-        trace.record(OpKind.SYRK, n_below, m)
-    trace.record(OpKind.MEMCPY, 4 * front * m)
+    record_node_ops(trace, m, m + n_below,
+                    ((residual_dim, factor_dim),) * max(0, num_factors),
+                    (n_below,) if n_below else ())
     trace.record(OpKind.TRSV, m)
     if n_below:
         trace.record(OpKind.GEMV, n_below, m)

@@ -168,8 +168,12 @@ class SessionFleet:
         Returns the per-session step reports of the sessions that
         completed; sessions whose phase raised are marked dead (their
         error is on the handle) and excluded — the fleet keeps serving
-        everyone else.
+        everyone else.  Raises ``KeyError`` naming every unknown session
+        id before any session's step opens.
         """
+        unknown = [sid for sid in inputs if sid not in self.sessions]
+        if unknown:
+            raise KeyError(f"unknown session ids: {unknown}")
         round_start = time.perf_counter()
         scale = (self.controller.relin_scale if self.config.degrade
                  else 1.0)

@@ -84,10 +84,11 @@ from repro.linalg.plan import (
     flatten_rhs,
     fold_hash,
     plans_equal,
+    record_node_ops,
     reindexed_plan,
     tree_solve,
 )
-from repro.linalg.trace import NodeTrace
+from repro.linalg.trace import OpKind
 from repro.policy.selection import SelectionContext, make_selection_policy
 from repro.solvers.base import SelectionPlan, StepReport
 from repro.solvers.batch_linearize import (
@@ -850,11 +851,11 @@ class IncrementalEngine:
         thread at each level boundary; a level with no dirty node
         dispatches nothing.
 
-        Trace fidelity: backsolve ops are recorded into detached
-        :class:`NodeTrace` objects and adopted at the end in descending
-        last-position order — the order of a top-down position scan,
-        which level-major order does *not* preserve (a deeper node in
-        one subtree can sit above a shallower node in another).
+        Trace fidelity: after the sweep, each processed node's GEMV/TRSV
+        are recorded on the main thread in descending last-position
+        order — the order of a top-down position scan, which level-major
+        order does *not* preserve (a deeper node in one subtree can sit
+        above a shallower node in another).
 
         Returns the depth levels it swept, from which the step's
         tree-shape extras are read.
@@ -863,9 +864,8 @@ class IncrementalEngine:
         changed = np.zeros(self.num_positions)
         delta_data = self.delta.data
         executor = self._executor
-        tracing = ctx.trace is not None
         levels = self._depth_levels()
-        processed: List[Tuple[_Node, Optional[NodeTrace]]] = []
+        processed: List[_Node] = []
         stats = LevelStats()
         for level in levels:
             tasks = []
@@ -877,27 +877,27 @@ class IncrementalEngine:
                 if not dirty:
                     continue
                 ctx.backsub += 1
-                node_trace = NodeTrace(node.sid) if tracing else None
-                processed.append((node, node_trace))
-                tasks.append(lambda nd=node, nt=node_trace:
-                             self._backsolve_task(nd, nt, changed,
-                                                  delta_data))
+                processed.append(node)
+                tasks.append(lambda nd=node:
+                             self._backsolve_task(nd, changed, delta_data))
             if tasks:
                 executor.run_level(tasks, stats)
-        if tracing:
-            processed.sort(key=lambda item: -item[0].positions[-1])
-            for _, node_trace in processed:
-                ctx.trace.adopt(node_trace)
+        if ctx.trace is not None:
+            processed.sort(key=lambda nd: -nd.positions[-1])
+            for node in processed:
+                node_trace = ctx.trace.node(node.sid)
+                if node.pattern:
+                    node_trace.record(OpKind.GEMV, node.y.size,
+                                      node.pattern_idx.size)
+                node_trace.record(OpKind.TRSV, node.y.size)
         ctx.add_level_stats(stats)
         return levels
 
-    def _backsolve_task(self, node: _Node,
-                        node_trace: Optional[NodeTrace],
-                        changed: np.ndarray,
+    def _backsolve_task(self, node: _Node, changed: np.ndarray,
                         delta_data: np.ndarray) -> None:
         above = delta_data[node.pattern_idx] if node.pattern else None
         x = self._executor.backsolve_node(
-            node.l_a, node.l_b, node.y, above, node_trace)
+            node.l_a, node.l_b, node.y, above)
         if x.size:
             diffs = np.abs(x - delta_data[node.pos_idx])
             changed[node.positions_arr] = np.maximum.reduceat(
@@ -1130,25 +1130,26 @@ class PreparedRefactorize:
     """Plan-resolved refactorization, dispatched one level at a time.
 
     This is the engine's only refactorize path, at every worker count.
-    Construction runs on the main thread: plan resolution, index
-    attachment and trace-node creation in head order, so plan-cache
-    traffic, auditor recompiles and trace insertion order never depend
-    on how the levels are dispatched.  The numeric bulk is then exposed
-    as dependency levels whose tasks a caller dispatches through any
+    Construction runs on the main thread: plan resolution and index
+    attachment in head order, so plan-cache traffic and auditor
+    recompiles never depend on how the levels are dispatched.  The
+    numeric bulk is then exposed as dependency levels whose tasks a
+    caller dispatches through any
     :meth:`~repro.linalg.parallel.ParallelStepExecutor.run_level` —
     the engine's own driver is :meth:`run`; the serving fleet instead
     merges every session's level-k tasks into one shared dispatch.
-    :meth:`finish` performs the forward sweep and carry scatter on the
-    main thread (cross-subtree float accumulations that must stay in
-    head order).
+    :meth:`finish` records each node's ops and performs the forward
+    sweep and carry scatter on the main thread, in head order (the
+    carry scatter is a cross-subtree float accumulation, and trace
+    insertion order is part of the bit-identity contract).
 
     Plan-cache counter deltas are attributed *inside construction*: in
     a fleet, many sessions interleave lookups against one shared cache
     between begin and finish, so finish-time deltas would misattribute.
     """
 
-    __slots__ = ("engine", "ctx", "fresh_nodes", "children_of", "traces",
-                 "levels", "stats")
+    __slots__ = ("engine", "ctx", "fresh_nodes", "children_of", "levels",
+                 "stats")
 
     def __init__(self, engine: IncrementalEngine, fresh: List[int],
                  ctx: StepContext):
@@ -1161,7 +1162,6 @@ class PreparedRefactorize:
         self.fresh_nodes = sorted((engine.nodes[sid] for sid in fresh),
                                   key=lambda n: n.positions[0])
         self.children_of: Dict[int, List[_Node]] = {}
-        self.traces: Dict[int, Optional[NodeTrace]] = {}
         for node in self.fresh_nodes:
             children = engine._children_nodes(node)
             self.children_of[node.sid] = children
@@ -1172,9 +1172,6 @@ class PreparedRefactorize:
             node.pattern_arr = plan.pattern_arr
             node.positions_arr = plan.positions_arr
             node.pos_starts = plan.pos_starts
-            self.traces[node.sid] = ctx.node(
-                node.sid, cols=plan.m,
-                rows_below=plan.front_size - plan.m)
         parents = {
             node.sid: (engine.node_of[node.pattern[0]] if node.pattern
                        else None)
@@ -1211,9 +1208,8 @@ class PreparedRefactorize:
             child_updates = [child.c_update
                              for child in self.children_of[sid]]
             out.append((
-                lambda p=plan, h=hessians, c=child_updates,
-                t=self.traces[sid]:
-                executor.factorize_node(p, h, c, damping, t),
+                lambda p=plan, h=hessians, c=child_updates:
+                executor.factorize_node(p, h, c, damping),
                 float(plan.m) * plan.front_size * plan.front_size))
         return out
 
@@ -1236,8 +1232,8 @@ class PreparedRefactorize:
         self.ctx.refactor_seconds += time.perf_counter() - start
 
     def finish(self) -> None:
-        """Forward sweep + carry scatter on the main thread, in head
-        order."""
+        """Op recording, forward sweep and carry scatter on the main
+        thread, in head order."""
         start = time.perf_counter()
         engine = self.engine
         executor = engine._executor
@@ -1246,7 +1242,15 @@ class PreparedRefactorize:
             rhs = (engine._gradient.gather(plan.pos_idx)
                    - engine._carry.gather(plan.pos_idx))
             node.y, node.v = executor.forward_update(
-                plan, node.l_a, node.l_b, rhs, self.traces[node.sid])
+                plan, node.l_a, node.l_b, rhs)
+            node_trace = self.ctx.node(node.sid, cols=plan.m,
+                                       rows_below=plan.front_size - plan.m)
+            if node_trace is not None:
+                record_node_ops(node_trace, plan.m, plan.front_size,
+                                plan.factor_trace, plan.child_sizes)
+                node_trace.record(OpKind.TRSV, plan.m)
+                if node.v is not None:
+                    node_trace.record(OpKind.GEMV, node.v.size, plan.m)
             if node.v is not None:
                 engine._carry.scatter_add(plan.pattern_idx, node.v, 1.0)
         self.ctx.add_level_stats(self.stats)

@@ -29,6 +29,21 @@ from repro.solvers.base import StepReport
 from repro.solvers.linearize import linearize_factor
 
 
+def _seed_factorize_front(front, m, trace=None):
+    """Seed-era ``factorize_front``: the live numerics plus the four ops
+    the seed kernel recorded, frozen here so this engine's op records
+    never come from live code."""
+    l_a, l_b, c_update = factorize_front(front, m)
+    if trace is not None:
+        n_below = front.shape[0] - m
+        trace.record(OpKind.POTRF, m)
+        if n_below:
+            trace.record(OpKind.TRSM, n_below, m)
+            trace.record(OpKind.SYRK, n_below, m)
+        trace.record(OpKind.MEMCPY, 4 * (m + n_below) * m)
+    return l_a, l_b, c_update
+
+
 class _Node:
     """A live supernode with its cached numeric state."""
 
@@ -360,7 +375,7 @@ class SeedIncrementalEngine:
             if self.damping:
                 front[np.arange(m), np.arange(m)] += self.damping
 
-            l_a, l_b, c_update = factorize_front(front, m, node_trace)
+            l_a, l_b, c_update = _seed_factorize_front(front, m, node_trace)
             node.l_a, node.l_b, node.c_update = l_a, l_b, c_update
 
             rhs = np.concatenate(

@@ -43,6 +43,21 @@ from repro.solvers.fixed_lag import marginalize_variable
 from repro.state import BlockVector
 
 
+def _seed_factorize_front(front, m, trace=None):
+    """Seed-era ``factorize_front``: the live numerics plus the four ops
+    the seed kernel recorded, frozen here so this engine's op records
+    never come from live code."""
+    l_a, l_b, c_update = factorize_front(front, m)
+    if trace is not None:
+        n_below = front.shape[0] - m
+        trace.record(OpKind.POTRF, m)
+        if n_below:
+            trace.record(OpKind.TRSM, n_below, m)
+            trace.record(OpKind.SYRK, n_below, m)
+        trace.record(OpKind.MEMCPY, 4 * (m + n_below) * m)
+    return l_a, l_b, c_update
+
+
 class SeedMultifrontalCholesky:
     """Pre-refactor multifrontal solver (per-factor assembly loops)."""
 
@@ -134,7 +149,7 @@ class SeedMultifrontalCholesky:
             if self.damping:
                 front[np.arange(m), np.arange(m)] += self.damping
 
-            l_a, l_b, c_update = factorize_front(front, m, node_trace)
+            l_a, l_b, c_update = _seed_factorize_front(front, m, node_trace)
             self._l_a[sid] = l_a
             self._l_b[sid] = l_b
             if node.parent != -1:

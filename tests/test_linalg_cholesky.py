@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.linalg.cholesky import FactorContribution, MultifrontalCholesky
 from repro.linalg.frontal import SingularHessianError, factorize_front
+from repro.linalg.plan import record_node_ops
 from repro.linalg.symbolic import SymbolicFactorization
 from repro.linalg.trace import NodeTrace, OpKind, OpTrace
 
@@ -216,11 +217,12 @@ class TestOpAccounting:
 
     def test_factorize_front_small(self):
         h_full = np.array([[4.0, 2.0], [2.0, 5.0]])
-        trace = NodeTrace(node_id=0, cols=1, rows_below=1)
-        l_a, l_b, c_update = factorize_front(h_full.copy(), 1, trace)
+        l_a, l_b, c_update = factorize_front(h_full.copy(), 1)
         assert l_a[0, 0] == pytest.approx(2.0)
         assert l_b[0, 0] == pytest.approx(1.0)
         assert c_update[0, 0] == pytest.approx(4.0)
+        trace = NodeTrace(node_id=0, cols=1, rows_below=1)
+        record_node_ops(trace, 1, 2, (), ())
         kinds = [op.kind for op in trace.ops]
-        assert kinds == [OpKind.POTRF, OpKind.TRSM, OpKind.SYRK,
-                         OpKind.MEMCPY]
+        assert kinds == [OpKind.MEMSET, OpKind.POTRF, OpKind.TRSM,
+                         OpKind.SYRK, OpKind.MEMCPY]

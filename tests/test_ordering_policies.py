@@ -12,7 +12,6 @@ from repro.linalg.ordering import (
     amd_order,
     amd_order_positions,
     constrained_colamd_order,
-    constrained_minimum_degree_order,
     dense_minimum_degree_order,
     make_ordering_policy,
     minimum_degree_order,
@@ -135,33 +134,6 @@ class TestConstrainedColamd:
         keys, factor_keys = random_graph(30, 20, seed=6)
         assert constrained_colamd_order(keys, factor_keys, ()) \
             == amd_order(keys, factor_keys)
-
-
-class TestConstrainedMinimumDegree:
-    def test_last_keys_sorted_at_end(self):
-        keys, factor_keys = random_graph(30, 15, seed=7)
-        order = constrained_minimum_degree_order(
-            keys, factor_keys, [29, 3])
-        assert sorted(order) == keys
-        assert order[-2:] == [3, 29]
-
-    def test_tail_adjacency_raises_head_degrees(self):
-        # Regression for the head-projection fix: leaves x0..x3 touch
-        # only the constrained hub L.  Their columns all reach into L's
-        # rows, so the projection cliques them (degree 4 each) and the
-        # chain (degree <= 2) must eliminate first.  The old projection
-        # dropped the tail entirely, saw the leaves as isolated
-        # (degree 0) and eliminated them before the chain.
-        chain = [f"c{i}" for i in range(5)]
-        leaves = [f"x{i}" for i in range(4)]
-        factor_keys = [(a, b) for a, b in zip(chain, chain[1:])]
-        factor_keys += [(x, "L") for x in leaves]
-        order = constrained_minimum_degree_order(
-            chain + leaves + ["L"], factor_keys, ["L"])
-        assert order[-1] == "L"
-        positions = {k: i for i, k in enumerate(order)}
-        assert max(positions[c] for c in chain) \
-            < min(positions[x] for x in leaves)
 
 
 class TestNestedDissection:

@@ -27,7 +27,7 @@ from repro.linalg.parallel import (
     resolve_workers,
 )
 from repro.linalg.plan import tree_solve
-from repro.linalg.trace import OpTrace
+from repro.linalg.trace import NodeTrace, OpTrace
 from repro.runtime import NodeCostModel, node_cycles
 from repro.runtime.cost_model import synthesize_node_ops
 from repro.runtime.scheduler import LANE_CACHE_STATS, LaneCacheStats
@@ -69,6 +69,21 @@ def batch_problem(scale=0.05, seed=3):
         for factor in step.factors:
             graph.add(factor)
     return data, graph, values
+
+
+def batch_system(ordering):
+    """Symbolic analysis and linearized contributions of the batch
+    problem under ``ordering``."""
+    _, graph, values = batch_problem()
+    policy = GaussNewton(ordering=ordering).ordering_policy
+    order = policy.order(list(values.keys()),
+                         [f.keys for f in graph.factors()])
+    symbolic = SymbolicFactorization.from_ordering(
+        order, {k: values.at(k).dim for k in order},
+        [f.keys for f in graph.factors()])
+    contributions = linearize_graph(
+        graph.factors(), values, {k: i for i, k in enumerate(order)})
+    return symbolic, contributions
 
 
 class TestLevelsFromParents:
@@ -145,17 +160,7 @@ class TestBatchIdentity:
         assert par.final_lambda == serial.final_lambda
 
     def test_cholesky_factors_traces_and_counters(self):
-        _, graph, values = batch_problem()
-        policy = GaussNewton(ordering="constrained_colamd").ordering_policy
-        order = policy.order(list(values.keys()),
-                             [f.keys for f in graph.factors()])
-        position_of = {k: i for i, k in enumerate(order)}
-        symbolic = SymbolicFactorization.from_ordering(
-            order, {k: values.at(k).dim for k in order},
-            [f.keys for f in graph.factors()])
-        contributions = linearize_graph(graph.factors(), values,
-                                        position_of)
-
+        symbolic, contributions = batch_system("constrained_colamd")
         results = {}
         for workers in (1, 4):
             solver = MultifrontalCholesky(symbolic, workers=workers)
@@ -178,17 +183,9 @@ class TestBatchIdentity:
         assert s4.level_stats.nodes > 0  # it really dispatched
 
     def test_tree_solve_direct(self):
-        _, graph, values = batch_problem()
-        policy = GaussNewton(ordering="minimum_degree").ordering_policy
-        order = policy.order(list(values.keys()),
-                             [f.keys for f in graph.factors()])
-        position_of = {k: i for i, k in enumerate(order)}
-        symbolic = SymbolicFactorization.from_ordering(
-            order, {k: values.at(k).dim for k in order},
-            [f.keys for f in graph.factors()])
+        symbolic, contributions = batch_system("minimum_degree")
         solver = MultifrontalCholesky(symbolic)
-        solver.factorize(linearize_graph(graph.factors(), values,
-                                         position_of))
+        solver.factorize(contributions)
         entries = [
             (sid, solver._l_a[sid], solver._l_b[sid],
              solver._own_idx[sid],
@@ -340,6 +337,50 @@ class TestInlineDispatch:
                                   FleetConfig(workers=1, degrade=False))
         assert not fleet.dead_sessions
         assert result.steps_completed == 3 * 16
+
+
+class TestMainThreadTracing:
+    """Pool tasks never touch a trace: every trace write runs on the
+    main thread, so trace content and order cannot depend on dispatch."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        counts = {"off_main": 0, "total": 0}
+        main = threading.main_thread()
+        lock = threading.Lock()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    counts["total"] += 1
+                    if threading.current_thread() is not main:
+                        counts["off_main"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(NodeTrace, "record", counted(NodeTrace.record))
+        monkeypatch.setattr(OpTrace, "node", counted(OpTrace.node))
+        return counts
+
+    def test_isam2(self, writes):
+        data = manhattan_dataset(scale=0.03)
+        solver = ISAM2(ordering="constrained_colamd", workers=2)
+        pooled = 0
+        for step in data.steps:
+            report = solver.update({step.key: step.guess}, step.factors,
+                                   context=StepContext(OpTrace()))
+            pooled += report.extras["parallel_nodes"]
+        assert pooled > 0
+        assert writes["total"] > 0
+        assert writes["off_main"] == 0, writes
+
+    def test_multifrontal_factorize(self, writes):
+        symbolic, contributions = batch_system("constrained_colamd")
+        solver = MultifrontalCholesky(symbolic, workers=2)
+        solver.factorize(contributions, trace=OpTrace())
+        assert solver.level_stats.nodes > 0
+        assert writes["total"] > 0
+        assert writes["off_main"] == 0, writes
 
 
 class TestConcurrentPricing:

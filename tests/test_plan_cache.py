@@ -16,7 +16,7 @@ from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
 from repro.geometry import SE2
 from repro.instrumentation import StepContext
 from repro.linalg import MultifrontalCholesky, SymbolicFactorization
-from repro.linalg.plan import PlanCache, plans_equal
+from repro.linalg.plan import PlanCache, Signature, plans_equal
 from repro.solvers import FixedLagSmoother, IncrementalEngine
 from repro.solvers.linearize import linearize_graph
 from repro.factorgraph import FactorGraph, Values
@@ -40,7 +40,7 @@ def build_engine(n=10, closure=None, seed=0, **kwargs):
 
 
 class TestPlanCacheUnit:
-    SIG = (("a",), ("b",), (), ())
+    SIG = Signature.of((("a",), ("b",), (), ()))
 
     def _plan(self, signature):
         from repro.linalg.plan import compile_node_plan
@@ -63,7 +63,7 @@ class TestPlanCacheUnit:
     def test_signature_mismatch_misses(self):
         cache = PlanCache()
         cache.store(0, self._plan(self.SIG))
-        other = (("a",), ("b",), (("f", (0,), 3),), ())
+        other = Signature.of((("a",), ("b",), (("f", (0,), 3),), ()))
         assert cache.lookup(0, other) is None
         assert cache.counters() == (0, 1, 1)
 

@@ -324,6 +324,36 @@ def test_dead_session_does_not_poison_the_fleet():
     compare_snapshots(iso.snapshots, survivors, atol=0.0)
 
 
+def test_unknown_session_id_rejected_before_any_session_steps():
+    """A round naming an unknown session raises before any named
+    session opens its step, so the known ones stay intact."""
+    workloads = fleet_workload(2, 8)
+    factory = default_solver_factory()
+    fleet = SessionFleet(FleetConfig(degrade=False))
+    for sid in range(len(workloads)):
+        fleet.add_session(str(sid), factory())
+
+    def inputs_at(t, sids):
+        return {str(sid): ({workloads[sid][t].key: workloads[sid][t].guess},
+                           workloads[sid][t].factors) for sid in sids}
+
+    for t in range(3):
+        fleet.step(inputs_at(t, (0, 1)))
+    bad = inputs_at(3, (0,))
+    bad["typo"] = bad["0"]
+    bad["also-missing"] = bad["0"]
+    with pytest.raises(KeyError, match="typo.*also-missing"):
+        fleet.step(bad)
+    fleet.sessions["0"].engine.check_invariants()
+    for t in range(3, len(workloads[0])):
+        assert set(fleet.step(inputs_at(t, (0, 1)))) == {"0", "1"}
+    assert not fleet.dead_sessions
+    iso = run_isolated(workloads, factory)
+    compare_snapshots(iso.snapshots,
+                      {sid: snapshot_estimate(fleet.sessions[str(sid)].solver)
+                       for sid in range(len(workloads))}, atol=0.0)
+
+
 def test_add_session_rejects_duplicates_and_bad_solvers():
     fleet = SessionFleet()
     fleet.add_session("a", ISAM2())
