@@ -18,7 +18,7 @@ from repro.experiments.autotune_report import (
     front_contains,
     recorded_workload,
 )
-from repro.experiments.common import isam2_run, price_run
+from repro.experiments.common import isam2_run
 from repro.experiments.design_space import (
     design_space_sweep,
     design_space_table,
@@ -26,6 +26,7 @@ from repro.experiments.design_space import (
 )
 from repro.hardware.autotune import DesignPoint, autotune, default_grid
 from repro.hardware.registry import make_platform
+from repro.pipeline import reprice_run
 
 #: Autotuned configs must price at least this much faster than the
 #: naive build-and-price-per-config loop.
@@ -67,7 +68,7 @@ def _naive_seconds_per_config(run, samples: int = 3) -> float:
         start = time.perf_counter()
         soc = make_platform("SuperNoVA2S",
                             rocc_overhead=40.0 + 1e-9 * (sample + 1))
-        price_run(run, soc)
+        reprice_run(run, soc)
         total += time.perf_counter() - start
     return total / samples
 

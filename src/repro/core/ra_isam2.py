@@ -11,6 +11,9 @@ Each step:
    most-relevant-first greedy by default),
 4. run the incremental engine with exactly that relinearization set.
 
+The step shell (``update``, ``estimate``, report assembly) is
+:class:`~repro.solvers.isam2.IncrementalSolver`'s, shared with ISAM2.
+
 An optional :class:`~repro.policy.controller.BudgetController`
 (``budget_controller="slambooster"``) modulates the per-step target
 from observed error/latency trends; the default ``fixed`` controller
@@ -19,13 +22,12 @@ keeps the historical constant-target behavior bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.core.budget import StepBudget
 from repro.core.relevance import RelinCostEstimator, relevance_scores
 from repro.factorgraph.factors import Factor
 from repro.factorgraph.keys import Key
-from repro.factorgraph.values import Values
 from repro.hardware.power import PowerModel
 from repro.instrumentation import StepContext
 from repro.policy import (
@@ -37,10 +39,10 @@ from repro.policy import (
 )
 from repro.runtime.cost_model import NodeCostModel
 from repro.solvers.base import SelectionPlan, StepReport
-from repro.solvers.isam2 import IncrementalEngine
+from repro.solvers.isam2 import IncrementalSolver
 
 
-class RAISAM2:
+class RAISAM2(IncrementalSolver):
     """Resource-aware incremental smoothing and mapping.
 
     Parameters
@@ -98,12 +100,8 @@ class RAISAM2:
             budget_controller)
         self.energy_budget_joules = energy_budget_joules
         self.power_model = power_model or PowerModel()
-        self.engine = IncrementalEngine(
-            max_supernode_vars=max_supernode_vars,
-            wildfire_tol=wildfire_tol, damping=damping,
-            ordering=ordering, reorder_interval=reorder_interval,
-            workers=workers)
-        self._step = -1
+        super().__init__(wildfire_tol, damping, max_supernode_vars,
+                         ordering, reorder_interval, workers)
         self._last_target_scale = 1.0
 
     def _estimate_energy(self, seconds: float) -> float:
@@ -179,37 +177,13 @@ class RAISAM2:
                           float(norms.max()) if norms.size else 0.0)
         self.budget_controller.observe(extras)
 
-    def begin_step(self, new_factors: Sequence[Factor],
-                   budget_scale: float = 1.0) -> SelectionPlan:
-        """Advance the step counter; run :meth:`plan_selection`."""
-        self._step += 1
-        return self.plan_selection(new_factors, budget_scale=budget_scale)
-
-    def end_step(self, ctx: StepContext, info: Dict[str, object],
+    def end_step(self, ctx: StepContext,
                  plan: SelectionPlan) -> StepReport:
-        """Build the step's report from the engine's ``info``, with the
-        budget extras, and feed it to :meth:`observe_report`."""
+        """The shared report, with the budget extras, fed to
+        :meth:`observe_report`."""
         ctx.extras["estimated_seconds"] = plan.charged
         if self._last_target_scale != 1.0:
             ctx.extras["budget_target_scale"] = self._last_target_scale
-        report = ctx.build_report(
-            self._step,
-            node_parents=self.engine.node_parents(info["fresh_sids"]),
-            selection_visits=plan.visits,
-            deferred_variables=plan.deferred,
-        )
+        report = super().end_step(ctx, plan)
         self.observe_report(report)
         return report
-
-    def update(self, new_values: Dict[Key, object],
-               new_factors: Sequence[Factor],
-               context: Optional[StepContext] = None) -> StepReport:
-        """One resource-aware backend step."""
-        ctx = context if context is not None else StepContext()
-        plan = self.begin_step(new_factors)
-        info = self.engine.update(new_values, new_factors, plan.selected,
-                                  context=ctx)
-        return self.end_step(ctx, info, plan)
-
-    def estimate(self) -> Values:
-        return self.engine.estimate()

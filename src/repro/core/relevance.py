@@ -55,12 +55,6 @@ class RelinCostEstimator:
 
     # -- node-level helpers -------------------------------------------
 
-    def _parent_sid(self, sid: int) -> Optional[int]:
-        node = self.engine.nodes[sid]
-        if not node.pattern:
-            return None
-        return self.engine.node_of[node.pattern[0]]
-
     def _compute_node_cost(self, sid: int) -> float:
         """Numeric + non-numeric (symbolic) latency of one supernode."""
         engine = self.engine
@@ -82,7 +76,7 @@ class RelinCostEstimator:
             self.visits += 1
             self._node_cost[cursor] = self._compute_node_cost(cursor)
             chain.append(cursor)
-            cursor = self._parent_sid(cursor)
+            cursor = self.engine.parent_sid(self.engine.nodes[cursor])
         base = self._path_cost.get(cursor, 0.0) if cursor is not None \
             else 0.0
         for node_sid in reversed(chain):

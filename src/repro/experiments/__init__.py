@@ -13,7 +13,6 @@ from repro.experiments.common import (
     dataset,
     dataset_scale,
     isam2_run,
-    price_run,
     ra_run,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "dataset",
     "dataset_scale",
     "isam2_run",
-    "price_run",
     "ra_run",
 ]

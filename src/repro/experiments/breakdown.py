@@ -10,9 +10,11 @@ import numpy as np
 
 from repro.datasets import FrontendModel, euroc_like_dataset, run_online
 from repro.experiments.common import dataset_scale, format_table, \
-    isam2_run, price_run
+    isam2_run
 from repro.hardware.registry import make_platform
 from repro.linalg.trace import KINDS, OpKind
+from repro.pipeline import reprice_run
+from repro.runtime.executor import host_terms
 from repro.solvers import ISAM2
 
 
@@ -36,7 +38,7 @@ def figure2() -> Dict[str, object]:
     CPU model.
     """
     run = _euroc_run()
-    latencies = price_run(run, make_platform("ServerCPU"))
+    latencies = reprice_run(run, make_platform("ServerCPU"))
     backend = [lat.total for lat in latencies]
     frontend = FrontendModel().sequence_seconds(len(backend))
     mean = sum(backend) / len(backend)
@@ -87,10 +89,12 @@ def figure3(name: str = "CAB2") -> Dict[str, float]:
     buckets: Dict[str, float] = {}
     group_cycles = np.zeros(len(_GROUP_NAMES))
     for report in run.reports:
+        terms = host_terms(soc, report.relinearized_factors,
+                           report.affected_columns)
         buckets["relinearization"] = buckets.get("relinearization", 0.0) \
-            + host.seconds(host.relin_cycles(report.relinearized_factors))
+            + terms.relinearization
         buckets["symbolic"] = buckets.get("symbolic", 0.0) \
-            + host.seconds(host.symbolic_cycles(report.affected_columns))
+            + terms.symbolic
         if report.trace is None:
             continue
         for node in report.trace.nodes.values():

@@ -32,10 +32,9 @@ from repro.datasets import (
     sphere_dataset,
 )
 from repro.datasets.pose_graph import PoseGraphDataset
-from repro.hardware.platforms import SoCConfig
 from repro.hardware.registry import make_platform
-from repro.pipeline import BackendPipeline, SnapshotStage, reprice_run
-from repro.runtime import NodeCostModel, RuntimeFeatures, StepLatency
+from repro.pipeline import BackendPipeline, SnapshotStage
+from repro.runtime import NodeCostModel
 from repro.solvers import ISAM2
 
 TARGET_SECONDS = 1.0 / 30.0      # 30 FPS -> 33.3 ms (paper Section 5.3)
@@ -124,19 +123,6 @@ def isam2_run(name: str, collect_errors: bool = True,
                       collect_errors=collect_errors,
                       error_every=ERROR_EVERY,
                       reference=reference_trajectory(name))
-
-
-def price_run(run: OnlineRun, soc: SoCConfig,
-              features: RuntimeFeatures = RuntimeFeatures.all(),
-              ) -> List[StepLatency]:
-    """Re-price an existing run's traces on a different platform."""
-    return reprice_run(run, soc, features)
-
-
-def make_ra_solver(sets: int, target: float = TARGET_SECONDS,
-                   soc: Optional[SoCConfig] = None) -> RAISAM2:
-    soc = soc or make_platform(f"SuperNoVA{sets}S")
-    return RAISAM2(NodeCostModel(soc), target_seconds=target)
 
 
 @lru_cache(maxsize=None)

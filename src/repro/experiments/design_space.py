@@ -21,11 +21,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.common import format_table, isam2_run, price_run
+from repro.experiments.common import format_table, isam2_run
 from repro.hardware.area import AREA_TABLE, platform_area
 from repro.hardware.autotune import pareto_mask
 from repro.hardware.platforms import SoCConfig
 from repro.hardware.registry import make_platform
+from repro.pipeline import reprice_run
 
 
 def _soc(systolic_dim: int, accel_sets: int) -> SoCConfig:
@@ -49,7 +50,7 @@ def design_space_sweep(
     for dim in systolic_dims:
         for sets in set_counts:
             soc = _soc(dim, sets)
-            latencies = price_run(run, soc)
+            latencies = reprice_run(run, soc)
             results[(dim, sets)] = {
                 "numeric_seconds": sum(lat.numeric for lat in latencies),
                 "total_seconds": sum(lat.total for lat in latencies),

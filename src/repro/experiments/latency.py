@@ -9,9 +9,9 @@ from repro.experiments.common import (
     DATASETS,
     format_table,
     isam2_run,
-    price_run,
 )
 from repro.hardware.registry import make_platform
+from repro.pipeline import reprice_run
 from repro.runtime import RuntimeFeatures
 
 #: (figure label, registry platform name) — realized via make_platform,
@@ -41,7 +41,7 @@ def figure8(datasets: Sequence[str] = DATASETS,
         run = isam2_run(name)
         per_platform: Dict[str, Dict[str, float]] = {}
         for label, platform in FIG8_PLATFORMS:
-            latencies = price_run(run, make_platform(platform))
+            latencies = reprice_run(run, make_platform(platform))
             per_platform[label] = {
                 "total": sum(lat.total for lat in latencies),
                 "numeric": sum(lat.numeric for lat in latencies),
@@ -109,7 +109,7 @@ def figure9(datasets: Sequence[str] = ("Sphere", "CAB2"),
         run = isam2_run(name)
         per_config: Dict[str, float] = {}
         for label, features in FIG9_CONFIGS:
-            latencies = price_run(run, soc, features)
+            latencies = reprice_run(run, soc, features)
             per_config[label] = sum(lat.numeric for lat in latencies)
         results[name] = per_config
     return results
@@ -148,10 +148,10 @@ def figure9_ordering(datasets: Sequence[str] = ("Sphere", "CAB2"),
         for ordering in FIG9_ORDERINGS:
             run = isam2_run(name, ordering=ordering)
             sequential = sum(
-                lat.numeric for lat in price_run(
+                lat.numeric for lat in reprice_run(
                     run, soc, RuntimeFeatures(True, False, False)))
             inter = sum(
-                lat.numeric for lat in price_run(
+                lat.numeric for lat in reprice_run(
                     run, soc, RuntimeFeatures(True, True, False)))
             per_ordering[ordering] = {
                 "sequential": sequential,

@@ -8,12 +8,12 @@ from repro.experiments.common import (
     DATASETS,
     format_table,
     isam2_run,
-    price_run,
     ra_run,
     target_for,
 )
 from repro.hardware.registry import make_platform
 from repro.metrics import LatencyStats, breakdown_means, latency_stats
+from repro.pipeline import reprice_run
 
 
 def figure10(datasets: Sequence[str] = DATASETS,
@@ -31,7 +31,7 @@ def figure10(datasets: Sequence[str] = DATASETS,
         entry: Dict[str, LatencyStats] = {}
         target = target_for(name)
         for sets in set_counts:
-            latencies = price_run(incremental,
+            latencies = reprice_run(incremental,
                                   make_platform(f"SuperNoVA{sets}S"))
             entry[f"In{sets}S"] = latency_stats(
                 [lat.total for lat in latencies], target)
@@ -67,7 +67,7 @@ def figure11(datasets: Sequence[str] = ("CAB2", "M3500"),
         entry: Dict[str, Dict[str, float]] = {}
         incremental = isam2_run(name)
         for sets in set_counts:
-            latencies = price_run(incremental,
+            latencies = reprice_run(incremental,
                                   make_platform(f"SuperNoVA{sets}S"))
             entry[f"In{sets}S"] = breakdown_means(
                 lat.as_dict() for lat in latencies)

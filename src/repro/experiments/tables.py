@@ -8,13 +8,13 @@ from typing import Dict, List
 from repro.experiments.common import (
     format_table,
     isam2_run,
-    price_run,
     ra_run,
 )
 from repro.experiments.accuracy import local_run, local_global_run
 from repro.hardware import PowerModel, area_summary
 from repro.hardware.area import AREA_TABLE
 from repro.hardware.registry import make_platform
+from repro.pipeline import reprice_run
 from repro.hardware.power import (
     EMBEDDED_GPU_RANGE_W,
     FPGA_RANGE_W,
@@ -51,7 +51,7 @@ def table2(name: str = "Sphere") -> Dict[str, Dict[str, bool]]:
         floor = max(incremental.step_rmse[-1], 1e-6)
         return run.step_rmse[-1] < 3.0 * floor + 1.0
 
-    inc_latencies = price_run(incremental, make_platform("SuperNoVA1S"))
+    inc_latencies = reprice_run(incremental, make_platform("SuperNoVA1S"))
 
     def bounded(latencies) -> bool:
         return max(lat.total for lat in latencies) <= target

@@ -36,14 +36,6 @@ def so3_left_jacobian_inverse(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * hat + cot_term * hat @ hat
 
 
-def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
-    return so3_left_jacobian(-np.asarray(omega, dtype=float))
-
-
-def so3_right_jacobian_inverse(omega: np.ndarray) -> np.ndarray:
-    return so3_left_jacobian_inverse(-np.asarray(omega, dtype=float))
-
-
 def _se3_q_matrix(rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Barfoot's Q(xi) block coupling translation and rotation in Jl."""
     rho_hat = skew(rho)

@@ -38,7 +38,7 @@ from repro.hardware.power import PowerModel, peak_watts
 from repro.hardware.platforms import SoCConfig
 from repro.hardware.registry import make_platform
 from repro.linalg.trace import NodeTrace, concat_node_traces
-from repro.runtime.executor import SELECTION_CYCLES_PER_VISIT
+from repro.runtime.executor import host_terms
 from repro.runtime.scheduler import RuntimeFeatures, simulate_tree
 
 #: Table 3 values of the non-accelerator axes; grids place these at the
@@ -212,11 +212,11 @@ def autotune(workload: RecordedWorkload,
              ) -> AutotuneResult:
     """Sweep ``grid`` (default: :func:`default_grid`) over the workload.
 
-    Per configuration the latency is exactly what
-    :func:`repro.runtime.executor.execute_step` would report —
-    relinearization split over ``cpu_tiles``, serial symbolic
-    factorization, the selection pass, and the scheduled numeric
-    factorization plus loose host-side ops — but computed with the
+    Per configuration the latency is what
+    :func:`repro.runtime.executor.execute_step` would report — the
+    scheduled numeric factorization plus the host-side terms of
+    :func:`~repro.runtime.executor.host_terms`, the formula the
+    executor itself prices them with — but computed with the
     collapses described in the module docstring, so thousands of
     configurations cost a handful of pricings plus one schedule replay
     per distinct ``(dim, sets, llc, dram)``.
@@ -228,31 +228,23 @@ def autotune(workload: RecordedWorkload,
     reports = workload.steps
 
     # Every SuperNoVA-family config shares the Rocket host, so the
-    # host-side analytic terms are computed once.
-    host = points[0].spec().host
-    relin_cycles = [host.relin_cycles(r.relinearized_factors)
-                    for r in reports]
-    fixed_seconds = sum(
-        host.seconds(host.symbolic_cycles(r.affected_columns))
-        + host.seconds(r.selection_visits * SELECTION_CYCLES_PER_VISIT)
-        for r in reports)
-    loose_cycles = []
-    for r in reports:
-        loose = r.trace.loose if r.trace is not None else None
-        if loose is None or loose.num_ops == 0:
-            loose_cycles.append(0.0)
-        else:
-            loose_cycles.append(
-                float(sum(host.price_ops(loose).tolist(), 0.0)))
+    # host-side terms are priced once; only relinearization depends on
+    # a configuration, through its CPU tile count.
+    base = points[0].spec()
+    terms = [host_terms(base, affected_columns=r.affected_columns,
+                        selection_visits=r.selection_visits, trace=r.trace)
+             for r in reports]
+    fixed_seconds = sum(t.symbolic + t.overhead for t in terms)
 
     relin_by_tiles: Dict[int, float] = {}
 
-    def relin_seconds(tiles: int) -> float:
-        val = relin_by_tiles.get(tiles)
+    def relin_seconds(point: DesignPoint) -> float:
+        val = relin_by_tiles.get(point.cpu_tiles)
         if val is None:
-            div = max(1, tiles)
-            val = sum(host.seconds(c / div) for c in relin_cycles)
-            relin_by_tiles[tiles] = val
+            soc = point.spec()
+            val = sum(host_terms(soc, r.relinearized_factors).relinearization
+                      for r in reports)
+            relin_by_tiles[point.cpu_tiles] = val
         return val
 
     merged: Optional[NodeTrace] = None
@@ -278,14 +270,14 @@ def autotune(workload: RecordedWorkload,
         soc = replace(point, cpu_tiles=1).spec()
         pricing_keys.add(soc.pricing_key)
         seconds = 0.0
-        for report, loose in zip(reports, loose_cycles):
+        for report, term in zip(reports, terms):
             if report.trace is None or not report.trace.nodes:
                 makespan = 0.0
             else:
                 makespan = simulate_tree(
                     report.trace.nodes, report.node_parents or {},
                     soc, features).makespan_cycles
-            seconds += soc.seconds(makespan + loose)
+            seconds += soc.seconds(makespan + term.loose_cycles)
         numeric_by_key[key] = seconds
         dim = point.systolic_dim
         if dim not in energy_by_dim:
@@ -313,7 +305,7 @@ def autotune(workload: RecordedWorkload,
 
     numerics = np.array([numeric_by_key[p.schedule_key] for p in points])
     totals = np.array([
-        numeric_by_key[p.schedule_key] + relin_seconds(p.cpu_tiles)
+        numeric_by_key[p.schedule_key] + relin_seconds(p)
         + fixed_seconds for p in points])
     areas = np.array([area(p) for p in points])
     energies = np.array([energy_by_dim[p.systolic_dim] for p in points])

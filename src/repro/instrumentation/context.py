@@ -1,4 +1,5 @@
-"""Per-step instrumentation context shared by all backend solvers."""
+"""The one per-step record, shared by all backend solvers: its counters
+carry the names :class:`~repro.solvers.base.StepReport` publishes."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ from repro.linalg.parallel import LevelStats, wall_speedup
 from repro.linalg.trace import NodeTrace, OpTrace
 
 if TYPE_CHECKING:  # solvers.base imports stay lazy: solvers import us
-    from repro.solvers.base import ParentMap, StepReport
+    from repro.solvers.base import ParentMap, SelectionPlan, StepReport
+
+#: Counters published to the report's extras under their own names.
+_EXTRAS_COUNTERS = ("backsub_nodes", "lin_seconds", "lin_batched_factors",
+                    "lin_fallback_factors", "plan_hits", "plan_misses",
+                    "plan_compiles", "refactor_seconds", "parallel_nodes",
+                    "parallel_levels")
 
 
 class StepContext:
@@ -23,15 +30,18 @@ class StepContext:
 
     Counters
     --------
-    ``relin_variables`` / ``relin_factors``
+    ``relinearized_variables`` / ``relinearized_factors``
         Fluid-relinearization work (non-numeric, runs on CPU).
-    ``symbolic``
+    ``affected_columns``
         Columns whose symbolic structure was recomputed.
-    ``numeric``
+    ``refactored_nodes``
         Supernodes numerically refactorized.
-    ``backsub``
+    ``node_parents``
+        Parent links among the refactorized supernodes (the scheduler's
+        dependency tree), set when the engine's step finishes.
+    ``backsub_nodes``
         Supernodes visited by the wildfire back-substitution.
-    ``lin_seconds`` / ``lin_batched`` / ``lin_fallback``
+    ``lin_seconds`` / ``lin_batched_factors`` / ``lin_fallback_factors``
         Wall time spent linearizing factors this step and how many
         factors took the batched vs. the per-factor scalar path.
     ``plan_hits`` / ``plan_misses`` / ``plan_compiles``
@@ -51,27 +61,29 @@ class StepContext:
         ``wall_speedup`` extra.
     """
 
-    __slots__ = ("trace", "step", "is_last", "relin_variables",
-                 "relin_factors", "symbolic", "numeric", "backsub",
-                 "lin_seconds", "lin_batched", "lin_fallback",
-                 "plan_hits", "plan_misses", "plan_compiles",
-                 "refactor_seconds", "parallel_nodes", "parallel_levels",
-                 "parallel_task_seconds", "parallel_wall_seconds",
-                 "extras")
+    __slots__ = ("trace", "step", "is_last", "relinearized_variables",
+                 "relinearized_factors", "affected_columns",
+                 "refactored_nodes", "node_parents", "backsub_nodes",
+                 "lin_seconds", "lin_batched_factors",
+                 "lin_fallback_factors", "plan_hits", "plan_misses",
+                 "plan_compiles", "refactor_seconds", "parallel_nodes",
+                 "parallel_levels", "parallel_task_seconds",
+                 "parallel_wall_seconds", "extras")
 
     def __init__(self, trace: Optional[OpTrace] = None, step: int = 0,
                  is_last: bool = False):
         self.trace = trace
         self.step = int(step)
         self.is_last = bool(is_last)
-        self.relin_variables = 0
-        self.relin_factors = 0
-        self.symbolic = 0
-        self.numeric = 0
-        self.backsub = 0
+        self.relinearized_variables = 0
+        self.relinearized_factors = 0
+        self.affected_columns = 0
+        self.refactored_nodes = 0
+        self.node_parents: Optional["ParentMap"] = None
+        self.backsub_nodes = 0
         self.lin_seconds = 0.0
-        self.lin_batched = 0
-        self.lin_fallback = 0
+        self.lin_batched_factors = 0
+        self.lin_fallback_factors = 0
         self.plan_hits = 0
         self.plan_misses = 0
         self.plan_compiles = 0
@@ -102,34 +114,26 @@ class StepContext:
         return self.trace.node(node_id, cols=cols, rows_below=rows_below)
 
     def build_report(self, step: int,
-                     node_parents: Optional["ParentMap"] = None,
-                     selection_visits: int = 0,
-                     deferred_variables: int = 0) -> "StepReport":
-        """Assemble the uniform :class:`StepReport` for this step."""
+                     plan: Optional["SelectionPlan"] = None,
+                     ) -> "StepReport":
+        """Assemble the uniform :class:`StepReport` for this step;
+        ``plan`` supplies the selection visit and deferral counts."""
         from repro.solvers.base import StepReport
 
         extras = dict(self.extras)
-        extras.setdefault("backsub_nodes", float(self.backsub))
-        extras.setdefault("lin_seconds", float(self.lin_seconds))
-        extras.setdefault("lin_batched_factors", float(self.lin_batched))
-        extras.setdefault("lin_fallback_factors", float(self.lin_fallback))
-        extras.setdefault("plan_hits", float(self.plan_hits))
-        extras.setdefault("plan_misses", float(self.plan_misses))
-        extras.setdefault("plan_compiles", float(self.plan_compiles))
-        extras.setdefault("refactor_seconds", float(self.refactor_seconds))
-        extras.setdefault("parallel_nodes", float(self.parallel_nodes))
-        extras.setdefault("parallel_levels", float(self.parallel_levels))
+        for name in _EXTRAS_COUNTERS:
+            extras.setdefault(name, float(getattr(self, name)))
         extras.setdefault("wall_speedup", float(wall_speedup(
             self.parallel_task_seconds, self.parallel_wall_seconds)))
         return StepReport(
             step=step,
-            relinearized_variables=self.relin_variables,
-            relinearized_factors=self.relin_factors,
-            affected_columns=self.symbolic,
-            refactored_nodes=self.numeric,
+            relinearized_variables=self.relinearized_variables,
+            relinearized_factors=self.relinearized_factors,
+            affected_columns=self.affected_columns,
+            refactored_nodes=self.refactored_nodes,
             trace=self.trace,
-            selection_visits=selection_visits,
-            deferred_variables=deferred_variables,
-            node_parents=node_parents,
+            selection_visits=plan.visits if plan is not None else 0,
+            deferred_variables=plan.deferred if plan is not None else 0,
+            node_parents=self.node_parents,
             extras=extras,
         )

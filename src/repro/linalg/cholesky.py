@@ -31,7 +31,6 @@ from repro.linalg.plan import (
     compile_node_plan,
     flatten_rhs,
     node_signature,
-    plans_equal,
     record_node_ops,
     tree_solve,
 )
@@ -233,18 +232,11 @@ class MultifrontalCholesky:
             for ci in assigned)
         signature = node_signature(pos_sig, pattern_sig, factor_sig,
                                    child_sig)
-        plan = self._plans.lookup(sid, signature)
-        if plan is None:
-            plan = self._compile_plan(node, assigned, contributions,
-                                      signature)
-            self._plans.store(sid, plan)
-        elif aud is not None:
-            fresh_plan = self._compile_plan(node, assigned, contributions,
-                                            signature)
-            aud.check(plans_equal(plan, fresh_plan), "plan-consistency",
-                      "cached step-plan must equal a fresh recompile",
-                      sid=sid)
-        return plan
+        return self._plans.resolve(
+            sid, signature,
+            lambda: self._compile_plan(node, assigned, contributions,
+                                       signature),
+            aud, sid=sid)
 
     def _compile_plan(self, node, assigned: Sequence[int],
                       contributions: Sequence[FactorContribution],

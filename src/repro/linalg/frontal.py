@@ -50,9 +50,6 @@ def front_offsets(positions: Sequence[int], row_pattern: Sequence[int],
     return offsets, m, cursor
 
 
-_RANGE_CACHE: Dict[int, range] = {}
-
-
 def gather_indices(positions: Sequence[int], dims: Sequence[int],
                    offsets: Dict[int, int]) -> np.ndarray:
     """Scalar frontal indices covering ``positions`` (for fancy scatter)."""

@@ -48,7 +48,7 @@ hash-only fast path to a hash collision between audits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -377,6 +377,21 @@ class PlanCache:
     def store(self, key, plan: NodePlan) -> None:
         self.compiles += 1
         self._plans[key] = plan
+
+    def resolve(self, key, signature: Signature,
+                compile_plan: Callable[[], NodePlan], aud,
+                **where) -> NodePlan:
+        """A cache hit, or ``compile_plan()`` stored on a miss; under
+        the auditor a hit must equal a fresh recompile."""
+        plan = self.lookup(key, signature)
+        if plan is None:
+            plan = compile_plan()
+            self.store(key, plan)
+        elif aud is not None:
+            aud.check(plans_equal(plan, compile_plan()), "plan-consistency",
+                      "cached step-plan must equal a fresh recompile",
+                      **where)
+        return plan
 
     def peek(self, key) -> Optional[NodePlan]:
         """The cached plan for ``key`` regardless of signature (tests)."""

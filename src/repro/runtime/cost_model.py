@@ -4,6 +4,9 @@ The resource-aware algorithm budgets relinearization work using this
 model: it predicts the processing time of a supernode from its dimensions
 without running the numeric factorization, by synthesizing the op
 sequence the node *would* execute and pricing it on the platform models.
+Its host-side predictions come from
+:func:`~repro.runtime.executor.host_terms`, the formula steps are
+charged with, so they are exact.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Dict, Tuple
 from repro.hardware.platforms import SoCConfig
 from repro.linalg.plan import record_node_ops
 from repro.linalg.trace import NodeTrace, OpKind
-from repro.runtime.executor import SELECTION_CYCLES_PER_VISIT
+from repro.runtime.executor import host_terms
 from repro.runtime.scheduler import RuntimeFeatures, node_cycles, \
     node_duration
 from repro.validate import current_auditor
@@ -107,14 +110,12 @@ class NodeCostModel:
         return max(1.0, self.soc.accel_sets * self.parallel_efficiency)
 
     def relin_seconds(self, num_factors: int) -> float:
-        return self.soc.host.seconds(
-            self.soc.host.relin_cycles(num_factors)
-            / max(1, self.soc.cpu_tiles))
+        return host_terms(self.soc,
+                          relinearized_factors=num_factors).relinearization
 
     def symbolic_seconds(self, num_columns: int) -> float:
-        return self.soc.host.seconds(
-            self.soc.host.symbolic_cycles(num_columns))
+        return host_terms(self.soc, affected_columns=num_columns).symbolic
 
     def selection_seconds(self, num_visits: int) -> float:
         """Cost of the RA-ISAM2 selection pass itself (<= 2 visits/node)."""
-        return self.soc.host.seconds(num_visits * SELECTION_CYCLES_PER_VISIT)
+        return host_terms(self.soc, selection_visits=num_visits).overhead

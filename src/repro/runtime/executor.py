@@ -3,15 +3,19 @@
 Combines the non-numeric host work (relinearization, symbolic, selection
 overhead — paper Section 3.3) with the scheduled numeric factorization to
 produce the per-step latency the paper's Figures 8, 10 and 11 report.
+
+:func:`host_terms` is the one formula for the host-side terms, so
+RA-ISAM2's cost model predicts exactly what a step is charged.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.hardware.platforms import SoCConfig
+from repro.linalg.trace import OpTrace
 from repro.runtime.scheduler import (
     RuntimeFeatures,
     SimResult,
@@ -20,9 +24,7 @@ from repro.runtime.scheduler import (
 )
 from repro.solvers.base import StepReport
 
-#: Cycles per candidate visited by the RA-ISAM2 selection pass; the one
-#: value the executor, the cost model and the design-space autotuner
-#: read, so replayed, predicted and priced totals agree.
+#: Cycles per candidate visited by the RA-ISAM2 selection pass.
 SELECTION_CYCLES_PER_VISIT = 60.0
 
 
@@ -59,12 +61,32 @@ class StepLatency:
         }
 
 
-def _loose_cycles(trace, soc: SoCConfig) -> float:
-    """Host-lane cycles of a step's loose (non-supernode) ops."""
-    loose = trace.loose
-    if loose.num_ops == 0:
-        return 0.0
-    return float(sum(soc.host.price_ops(loose).tolist(), 0.0))
+class HostTerms(NamedTuple):
+    """Host-side seconds of one step, plus its loose-op cycles (which
+    serialize with the numeric schedule)."""
+
+    relinearization: float
+    symbolic: float
+    overhead: float
+    loose_cycles: float
+
+
+def host_terms(soc: SoCConfig, relinearized_factors: int = 0,
+               affected_columns: int = 0, selection_visits: int = 0,
+               trace: Optional[OpTrace] = None) -> HostTerms:
+    """Price a step's host-side work on ``soc``'s host tile."""
+    host = soc.host
+    # Relinearization is trivially parallel (paper Section 3.3) and is
+    # split across the SoC's CPU tiles; symbolic factorization follows
+    # tree dependencies and stays serial.
+    relin = host.seconds(host.relin_cycles(relinearized_factors)
+                         / max(1, soc.cpu_tiles))
+    symbolic = host.seconds(host.symbolic_cycles(affected_columns))
+    overhead = host.seconds(selection_visits * SELECTION_CYCLES_PER_VISIT)
+    loose = trace.loose if trace is not None else None
+    loose_cycles = (float(sum(host.price_ops(loose).tolist(), 0.0))
+                    if loose is not None and loose.num_ops else 0.0)
+    return HostTerms(relin, symbolic, overhead, loose_cycles)
 
 
 def execute_step(
@@ -92,16 +114,9 @@ def execute_step(
         :class:`RuntimeWarning` instead (pass ``parents={}`` explicitly
         to assert the nodes really are independent).
     """
-    host = soc.host
-    # Relinearization is trivially parallel (paper Section 3.3) and is
-    # split across the SoC's CPU tiles; symbolic factorization follows
-    # tree dependencies and stays serial.
-    relin = host.seconds(host.relin_cycles(report.relinearized_factors)
-                         / max(1, soc.cpu_tiles))
-    symbolic = host.seconds(host.symbolic_cycles(report.affected_columns))
-    overhead = host.seconds(
-        report.selection_visits * SELECTION_CYCLES_PER_VISIT)
-
+    terms = host_terms(soc, report.relinearized_factors,
+                       report.affected_columns, report.selection_visits,
+                       report.trace)
     utilization = 0.0
     if report.trace is None or not report.trace.nodes:
         numeric = 0.0
@@ -125,18 +140,18 @@ def execute_step(
         # tile and serialize with the schedule.  They used to be priced
         # only on the no-accelerator branch and silently dropped here;
         # see EXPERIMENTS.md ("loose-op pricing fix") for the delta.
-        cycles = result.makespan_cycles + _loose_cycles(report.trace, soc)
+        cycles = result.makespan_cycles + terms.loose_cycles
         numeric = soc.seconds(cycles)
         utilization = result.utilization
     else:
         cycles = sequential_cycles(list(report.trace.nodes.values()), soc)
-        cycles += _loose_cycles(report.trace, soc)
-        numeric = host.seconds(cycles)
+        cycles += terms.loose_cycles
+        numeric = soc.host.seconds(cycles)
 
     return StepLatency(
-        relinearization=relin,
-        symbolic=symbolic,
+        relinearization=terms.relinearization,
+        symbolic=terms.symbolic,
         numeric=numeric,
-        overhead=overhead,
+        overhead=terms.overhead,
         utilization=utilization,
     )

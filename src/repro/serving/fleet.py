@@ -225,8 +225,8 @@ class SessionFleet:
         for slot in slots:
             handle = slot.handle
             try:
-                info = slot.pending.finish()
-                report = self._end_step(slot, info)
+                slot.pending.finish()
+                report = self._end_step(slot)
             except BaseException as exc:
                 self._kill(handle, exc)
                 continue
@@ -352,14 +352,14 @@ class SessionFleet:
             survivors.append(slot)
         return survivors
 
-    def _end_step(self, slot: _Slot, info: Dict) -> StepReport:
+    def _end_step(self, slot: _Slot) -> StepReport:
         """Fleet attribution extras, then the solver's own report."""
         handle = slot.handle
         shed = slot.plan.shed
         slot.ctx.extras["session_id"] = float(handle.index)
         slot.ctx.extras["shed_relin_count"] = float(shed)
         slot.ctx.extras["fleet_plan_hits"] = float(self.plan_cache.hits)
-        report = handle.solver.end_step(slot.ctx, info, slot.plan)
+        report = handle.solver.end_step(slot.ctx, slot.plan)
         aud = current_auditor()
         if aud is not None:
             aud.check_nonneg(shed, "fleet-shed-count",

@@ -3,7 +3,8 @@
 Every online solver exposes ``update(step) -> StepReport``; the report
 carries the work counters and the numeric operation trace that the
 latency experiments feed into the hardware simulator.  The incremental
-solvers split ``update`` into ``begin_step`` (returns the step's
+solvers share one shell (:class:`~repro.solvers.isam2.IncrementalSolver`)
+that splits ``update`` into ``begin_step`` (returns the step's
 :class:`SelectionPlan`) and ``end_step`` (returns its report), so the
 serving fleet drives the same selection and report code as a solo
 ``update``.

@@ -175,8 +175,8 @@ class FixedLagSmoother:
         self._optimize(ctx)
         while len(self._active) > self.window:
             self._marginalize_oldest()
-        ctx.relin_variables += len(self._active)
-        ctx.numeric += len(self._active)
+        ctx.relinearized_variables += len(self._active)
+        ctx.refactored_nodes += len(self._active)
         ctx.extras["dropped_factors"] = float(dropped_factors)
         return ctx.build_report(self._step)
 
@@ -199,8 +199,8 @@ class FixedLagSmoother:
             contributions, n_batched, n_fallback = linearize_many(
                 self.graph.factors(), self.values, position_of)
             ctx.lin_seconds += time.perf_counter() - start
-            ctx.lin_batched += n_batched
-            ctx.lin_fallback += n_fallback
+            ctx.lin_batched_factors += n_batched
+            ctx.lin_fallback_factors += n_fallback
             last = iteration == self.iterations - 1
             trace = ctx.trace if last else None
             start = time.perf_counter()

@@ -45,6 +45,10 @@ those plans through the shared
 :class:`~repro.linalg.plan.StepExecutor` — a structure-unchanged
 rebuild reuses every plan wholesale instead of re-deriving
 ``front_offsets``/``gather_indices`` per factor.
+
+:meth:`IncrementalEngine.update` returns the step's
+:class:`~repro.instrumentation.StepContext`, its one record, and
+:class:`IncrementalSolver` is the one solver shell over the engine.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ from repro.linalg.plan import (
     compile_node_plan,
     flatten_rhs,
     fold_hash,
-    plans_equal,
     record_node_ops,
     reindexed_plan,
     tree_solve,
@@ -260,17 +263,18 @@ class IncrementalEngine:
         p = self.pos_of[key]
         return self.theta.at(key).retract(self.delta[p])
 
+    def parent_sid(self, node: _Node) -> Optional[int]:
+        """Elimination-tree parent of ``node``: the supernode owning its
+        first pattern position, or None for a root."""
+        return self.node_of[node.pattern[0]] if node.pattern else None
+
     def node_parents(self, sids) -> Dict[int, Optional[int]]:
         """Parent links among the given supernodes (for the scheduler)."""
         sid_set = set(sids)
         out: Dict[int, Optional[int]] = {}
         for sid in sids:
-            node = self.nodes[sid]
-            if node.pattern:
-                parent_sid = self.node_of[node.pattern[0]]
-                out[sid] = parent_sid if parent_sid in sid_set else None
-            else:
-                out[sid] = None
+            parent = self.parent_sid(self.nodes[sid])
+            out[sid] = parent if parent in sid_set else None
         return out
 
     def delta_norm_array(self) -> np.ndarray:
@@ -289,15 +293,15 @@ class IncrementalEngine:
         new_factors: Sequence[Factor],
         relin_keys: Iterable[Key] = (),
         context: Optional[StepContext] = None,
-    ) -> Dict[str, object]:
+    ) -> StepContext:
         """One incremental step.
 
         Adds variables and factors, relinearizes ``relin_keys`` (moving
         their linearization point to the current estimate), refactorizes
-        the affected part of the tree and re-solves.  Returns work counters
-        plus the set of refactored supernode ids.  Phase counters and the
-        op trace (``context.trace``) accumulate on ``context``; without
-        one the step runs untraced.
+        the affected part of the tree and re-solves.  Phase counters,
+        the refactorized nodes' parent links and the op trace
+        (``context.trace``) accumulate on ``context``, which is
+        returned; without one the step runs untraced on a fresh context.
 
         Written over the split-phase :class:`PendingStep` protocol (the
         serving fleet drives the same phases with its linearization and
@@ -658,9 +662,9 @@ class IncrementalEngine:
         height, max_width = _level_extent(levels)
         children: Dict[int, int] = {}
         for node in self.nodes.values():
-            if node.pattern:
-                parent_sid = self.node_of[node.pattern[0]]
-                children[parent_sid] = children.get(parent_sid, 0) + 1
+            parent = self.parent_sid(node)
+            if parent is not None:
+                children[parent] = children.get(parent, 0) + 1
         return {
             "supernodes": float(len(self.nodes)),
             "height": height,
@@ -682,8 +686,8 @@ class IncrementalEngine:
         levels: List[List[_Node]] = []
         for node in sorted(self.nodes.values(),
                            key=lambda nd: -nd.positions[-1]):
-            d = (depth[self.node_of[node.pattern[0]]] + 1
-                 if node.pattern else 0)
+            parent = self.parent_sid(node)
+            d = depth[parent] + 1 if parent is not None else 0
             depth[node.sid] = d
             if len(levels) <= d:
                 levels.append([])
@@ -796,18 +800,11 @@ class IncrementalEngine:
         parts = (self._signature_parts(node, children)
                  if aud is not None else None)
         signature = Signature(sig_hash, parts)
-        plan = self._plans.lookup(key, signature)
-        if plan is None:
-            plan = self._compile_plan(node, self._factor_ids_of(node),
-                                      children, signature)
-            self._plans.store(key, plan)
-        elif aud is not None:
-            fresh_plan = self._compile_plan(
-                node, self._factor_ids_of(node), children, signature)
-            aud.check(plans_equal(plan, fresh_plan), "plan-consistency",
-                      "cached step-plan must equal a fresh recompile",
-                      sid=node.sid, head=key)
-        return plan
+        return self._plans.resolve(
+            key, signature,
+            lambda: self._compile_plan(node, self._factor_ids_of(node),
+                                       children, signature),
+            aud, sid=node.sid, head=key)
 
     def _compile_plan(self, node: _Node, factor_ids: tuple,
                       children: List[_Node], signature) -> NodePlan:
@@ -876,7 +873,7 @@ class IncrementalEngine:
                                         > self.wildfire_tol))
                 if not dirty:
                     continue
-                ctx.backsub += 1
+                ctx.backsub_nodes += 1
                 processed.append(node)
                 tasks.append(lambda nd=node:
                              self._backsolve_task(nd, changed, delta_data))
@@ -945,6 +942,12 @@ class IncrementalEngine:
 
     def check_invariants(self) -> None:
         """Assert internal bookkeeping consistency (O(graph) — tests only)."""
+        assert np.isfinite(self.delta.data).all(), "non-finite delta entry"
+        for key, value in self.theta.items():
+            # Poses expose their homogeneous matrix, landmarks a vector.
+            coords = value.matrix() if hasattr(value, "matrix") else value.v
+            assert np.isfinite(coords).all(), (
+                f"non-finite linearization point of variable {key}")
         gradient = [np.zeros(d) for d in self.dims]
         for contrib in self._lin.values():
             cursor = 0
@@ -1028,8 +1031,8 @@ class PendingStep:
        ``PreparedRefactorize.run``, ``finish``) *or*
        ``refactorize_begin()`` plus external level scheduling and
        ``PreparedRefactorize.finish`` (fleet).
-    5. ``finish()`` — wildfire back-substitution, step counters; returns
-       the engine's info dict.
+    5. ``finish()`` — wildfire back-substitution, step counters and the
+       refactorized nodes' parent links; returns the step's context.
     """
 
     __slots__ = ("engine", "ctx", "affected", "new_factors", "new_indices",
@@ -1058,8 +1061,8 @@ class PendingStep:
                      seconds: float = 0.0) -> None:
         ctx = self.ctx
         ctx.lin_seconds += seconds
-        ctx.lin_batched += result.n_batched
-        ctx.lin_fallback += result.n_fallback
+        ctx.lin_batched_factors += result.n_batched
+        ctx.lin_fallback_factors += result.n_fallback
         self.engine._apply_new_contributions(self.new_indices,
                                              result.contributions)
 
@@ -1081,8 +1084,8 @@ class PendingStep:
                     seconds: float = 0.0) -> None:
         ctx = self.ctx
         ctx.lin_seconds += seconds
-        ctx.lin_batched += result.n_batched
-        ctx.lin_fallback += result.n_fallback
+        ctx.lin_batched_factors += result.n_batched
+        ctx.lin_fallback_factors += result.n_fallback
         self.affected |= self.engine._apply_relin_contributions(
             self.relin_indices, result.contributions)
 
@@ -1105,25 +1108,20 @@ class PendingStep:
     def refactorize_begin(self) -> "PreparedRefactorize":
         return self.engine.refactorize_begin(self.fresh, self.ctx)
 
-    def finish(self) -> Dict[str, object]:
+    def finish(self) -> StepContext:
         engine = self.engine
         ctx = self.ctx
         levels = engine._back_substitute(self.fresh, ctx)
-        ctx.relin_variables += self.relin_key_count
-        ctx.relin_factors += len(self.relin_indices)
-        ctx.symbolic += len(self.sym_affected)
-        ctx.numeric += len(self.fresh)
+        ctx.relinearized_variables += self.relin_key_count
+        ctx.relinearized_factors += len(self.relin_indices)
+        ctx.affected_columns += len(self.sym_affected)
+        ctx.refactored_nodes += len(self.fresh)
+        ctx.node_parents = engine.node_parents(self.fresh)
         height, max_width = _level_extent(levels)
         ctx.extras["tree_height"] = height
         ctx.extras["tree_max_width"] = max_width
         ctx.extras["tree_fill_nnz"] = float(engine._fill_total)
-        return {
-            "relinearized_variables": self.relin_key_count,
-            "relinearized_factors": len(self.relin_indices),
-            "affected_columns": len(self.sym_affected),
-            "refactored_nodes": len(self.fresh),
-            "fresh_sids": self.fresh,
-        }
+        return ctx
 
 
 class PreparedRefactorize:
@@ -1172,10 +1170,8 @@ class PreparedRefactorize:
             node.pattern_arr = plan.pattern_arr
             node.positions_arr = plan.positions_arr
             node.pos_starts = plan.pos_starts
-        parents = {
-            node.sid: (engine.node_of[node.pattern[0]] if node.pattern
-                       else None)
-            for node in self.fresh_nodes}
+        parents = {node.sid: engine.parent_sid(node)
+                   for node in self.fresh_nodes}
         self.levels = levels_from_parents(
             [n.sid for n in self.fresh_nodes], parents)
         self.stats = LevelStats()
@@ -1257,7 +1253,53 @@ class PreparedRefactorize:
         self.ctx.refactor_seconds += time.perf_counter() - start
 
 
-class ISAM2:
+class IncrementalSolver:
+    """The step shell of ISAM2 and RA-ISAM2 over an
+    :class:`IncrementalEngine`.
+
+    ``update`` is :meth:`begin_step`, ``engine.update``, then
+    :meth:`end_step`; the serving fleet calls the same two methods
+    around its fused engine phases.  Subclasses supply
+    ``plan_selection(new_factors, budget_scale)``, the step's
+    relinearization set, and may extend :meth:`end_step`.
+    """
+
+    def __init__(self, wildfire_tol: float, damping: float,
+                 max_supernode_vars: int, ordering: str,
+                 reorder_interval: int, workers: Optional[int]):
+        self.engine = IncrementalEngine(
+            max_supernode_vars=max_supernode_vars,
+            wildfire_tol=wildfire_tol, damping=damping,
+            ordering=ordering, reorder_interval=reorder_interval,
+            workers=workers)
+        self._step = -1
+
+    def begin_step(self, new_factors: Sequence[Factor],
+                   budget_scale: float = 1.0) -> SelectionPlan:
+        """Advance the step counter; run :meth:`plan_selection`."""
+        self._step += 1
+        return self.plan_selection(new_factors, budget_scale=budget_scale)
+
+    def end_step(self, ctx: StepContext,
+                 plan: SelectionPlan) -> StepReport:
+        """Build the step's report from its context and selection."""
+        return ctx.build_report(self._step, plan)
+
+    def update(self, new_values: Dict[Key, object],
+               new_factors: Sequence[Factor],
+               context: Optional[StepContext] = None) -> StepReport:
+        """Process one timestep of the online SLAM problem."""
+        ctx = context if context is not None else StepContext()
+        plan = self.begin_step(new_factors)
+        self.engine.update(new_values, new_factors, plan.selected,
+                           context=ctx)
+        return self.end_step(ctx, plan)
+
+    def estimate(self) -> Values:
+        return self.engine.estimate()
+
+
+class ISAM2(IncrementalSolver):
     """The "Incremental" baseline: ISAM2 with a fixed relinearization
     threshold and one Gauss-Newton step per backend iteration.
 
@@ -1269,10 +1311,10 @@ class ISAM2:
     selection_policy / selection_seed:
         Registered :class:`~repro.policy.selection.SelectionPolicy`
         name or instance.  Plain ISAM2 is unbudgeted, so the policy
-        never changes a full-scale step — :meth:`begin_step` consults
-        it (rank-only) to pick *which* flagged variables a degraded
-        step keeps when overload shedding (``budget_scale < 1``) cuts
-        the candidate list.
+        never changes a full-scale step — :meth:`plan_selection`
+        consults it (rank-only) to pick *which* flagged variables a
+        degraded step keeps when overload shedding (``budget_scale <
+        1``) cuts the candidate list.
     ordering / reorder_interval:
         Engine ordering mode (``chronological`` or
         ``constrained_colamd``) and re-ordering cadence; see
@@ -1290,16 +1332,12 @@ class ISAM2:
         self.relin_threshold = float(relin_threshold)
         self.selection_policy = make_selection_policy(
             selection_policy, seed=selection_seed)
-        self.engine = IncrementalEngine(
-            max_supernode_vars=max_supernode_vars,
-            wildfire_tol=wildfire_tol, damping=damping,
-            ordering=ordering, reorder_interval=reorder_interval,
-            workers=workers)
-        self._step = -1
+        super().__init__(wildfire_tol, damping, max_supernode_vars,
+                         ordering, reorder_interval, workers)
 
-    def begin_step(self, new_factors: Sequence[Factor],
-                   budget_scale: float = 1.0) -> SelectionPlan:
-        """Advance the step counter; pick the relinearization set.
+    def plan_selection(self, new_factors: Sequence[Factor],
+                       budget_scale: float = 1.0) -> SelectionPlan:
+        """Pick the relinearization set.
 
         Every variable with ``‖delta_j‖∞ > relin_threshold`` is
         selected.  Below ``budget_scale`` 1 (the serving fleet's
@@ -1309,7 +1347,6 @@ class ISAM2:
         position order so the retraction and gradient float
         accumulation run in the unscaled order; the rest are shed.
         """
-        self._step += 1
         engine = self.engine
         norms = engine.delta_norm_array()
         order = engine.order
@@ -1325,25 +1362,3 @@ class ISAM2:
         positions = sorted(engine.pos_of[key] for _, key in kept[:keep])
         return SelectionPlan([order[p] for p in positions],
                              shed=int(flagged.size) - keep)
-
-    def end_step(self, ctx: StepContext, info: Dict[str, object],
-                 plan: SelectionPlan) -> StepReport:
-        """Build the step's report from the engine's ``info``."""
-        return ctx.build_report(
-            self._step,
-            node_parents=self.engine.node_parents(info["fresh_sids"]),
-            selection_visits=plan.visits,
-            deferred_variables=plan.deferred)
-
-    def update(self, new_values: Dict[Key, object],
-               new_factors: Sequence[Factor],
-               context: Optional[StepContext] = None) -> StepReport:
-        """Process one timestep of the online SLAM problem."""
-        ctx = context if context is not None else StepContext()
-        plan = self.begin_step(new_factors)
-        info = self.engine.update(new_values, new_factors, plan.selected,
-                                  context=ctx)
-        return self.end_step(ctx, info, plan)
-
-    def estimate(self) -> Values:
-        return self.engine.estimate()

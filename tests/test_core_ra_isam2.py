@@ -9,6 +9,7 @@ from repro.factorgraph import BetweenFactorSE2, IsotropicNoise, \
     PriorFactorSE2
 from repro.geometry import SE2
 from repro.hardware import make_platform
+from repro.hardware.registry import platform_names
 from repro.instrumentation import StepContext
 from repro.linalg.trace import OpTrace
 from repro.runtime import NodeCostModel, execute_step
@@ -268,6 +269,25 @@ class TestRAISAM2:
             if latency.total > 1.0 / 30.0:
                 misses += 1
         assert misses == 0
+
+    @pytest.mark.parametrize("platform", platform_names())
+    def test_predicted_host_terms_equal_priced_terms(self, platform):
+        # The budget predicts a step's host-side work with the formula
+        # execute_step charges it with, so the two agree exactly.
+        soc = make_platform(platform)
+        solver = RAISAM2(NodeCostModel(soc), target_seconds=1e-3)
+        reports = self.drive(solver)
+        model = solver.cost_model
+        for report in reports:
+            priced = execute_step(report, soc, report.node_parents)
+            assert (model.relin_seconds(report.relinearized_factors)
+                    == priced.relinearization)
+            assert (model.symbolic_seconds(report.affected_columns)
+                    == priced.symbolic)
+            assert (model.selection_seconds(report.selection_visits)
+                    == priced.overhead)
+        assert any(r.relinearized_factors for r in reports)
+        assert any(r.selection_visits for r in reports)
 
     def test_energy_budget_limits_selection(self):
         unconstrained = self.make_solver(target=10.0)

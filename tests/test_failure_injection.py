@@ -10,10 +10,12 @@ from repro.factorgraph import (
     PriorFactorSE2,
     Values,
 )
+from repro.datasets import manhattan_dataset
 from repro.geometry import SE2
 from repro.linalg.frontal import SingularHessianError
 from repro.solvers import (
     GaussNewton,
+    ISAM2,
     IncrementalEngine,
     LevenbergMarquardt,
 )
@@ -138,4 +140,47 @@ class TestEngineStressSequences:
             relin = [k for k, s in engine.delta_norms().items()
                      if s > 0.05]
             engine.update({i: guess}, factors, relin_keys=relin)
+            engine.check_invariants()
+
+
+class TestNonFiniteState:
+    def run_manhattan(self, poison_step=None, steps=20):
+        """ISAM2 over a Manhattan prefix; ``poison_step``'s odometry
+        measurement is replaced by NaN."""
+        data = manhattan_dataset(scale=0.01)
+        solver = ISAM2()
+        for i, step in enumerate(data.steps[:steps]):
+            factors = list(step.factors)
+            if i == poison_step:
+                odometry = factors[0]
+                assert odometry.keys == (step.key - 1, step.key)
+                factors[0] = BetweenFactorSE2(
+                    *odometry.keys, SE2(float("nan"), 0.0, 0.0),
+                    odometry.noise)
+            solver.update({step.key: step.guess}, factors)
+        return solver
+
+    def test_clean_run_passes(self):
+        self.run_manhattan().engine.check_invariants()
+
+    def test_nan_measurement_fails_invariants(self):
+        # The NaN spreads through the solve into most of the poses;
+        # check_invariants must notice instead of passing.
+        solver = self.run_manhattan(poison_step=10)
+        estimate = solver.estimate()
+        poisoned = [key for key in estimate.keys()
+                    if not np.isfinite(estimate.at(key).matrix()).all()]
+        assert len(poisoned) > 1
+        with pytest.raises(AssertionError, match="non-finite delta"):
+            solver.engine.check_invariants()
+
+    def test_nan_linearization_point_fails_invariants(self):
+        engine = IncrementalEngine()
+        engine.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)])
+        engine.update({1: SE2(1.0, 0.0, 0.0)},
+                      [BetweenFactorSE2(0, 1, SE2(1.0, 0.0, 0.0), NOISE)])
+        engine.check_invariants()
+        engine.theta.update(1, SE2(1.0, float("inf"), 0.0))
+        with pytest.raises(AssertionError,
+                           match="non-finite linearization point"):
             engine.check_invariants()

@@ -1,7 +1,5 @@
 """Integration and edge-case tests across modules."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -161,8 +159,8 @@ class TestEngineEdgeCases:
         engine = IncrementalEngine()
         engine.update({0: SE2()}, [PriorFactorSE2(0, SE2(), NOISE)])
         before = [d.copy() for d in engine.delta]
-        info = engine.update({}, [])
-        assert info["refactored_nodes"] == 0
+        ctx = engine.update({}, [])
+        assert ctx.refactored_nodes == 0
         for b, a in zip(before, engine.delta):
             np.testing.assert_array_equal(b, a)
 
@@ -172,8 +170,8 @@ class TestEngineEdgeCases:
         engine.update({1: SE2(1.0, 0.0, 0.0)},
                       [BetweenFactorSE2(0, 1, SE2(1.0, 0.0, 0.0), NOISE)])
         # Perfect guess -> delta ~ 0; relinearizing is harmless.
-        info = engine.update({}, [], relin_keys=[1])
-        assert info["relinearized_variables"] == 1
+        ctx = engine.update({}, [], relin_keys=[1])
+        assert ctx.relinearized_variables == 1
         engine.check_invariants()
 
     def test_multiple_new_variables_one_step(self):

@@ -92,6 +92,26 @@ class TestEngineBasics:
         assert set(norms.keys()) == {0, 1}
         assert all(v >= 0.0 for v in norms.values())
 
+    def test_update_returns_filled_context(self):
+        # Called without a context, update still hands back the step's
+        # record: its counters and the refactorized nodes' parent links.
+        engine = self.make_engine()
+        for i in range(1, 6):
+            engine.update(*odometry_step(i))
+        values, factors = odometry_step(6)
+        factors.append(BetweenFactorSE2(1, 6, SE2(5.0, 0.5, 0.3), NOISE))
+        ctx = engine.update(values, factors, relin_keys=[3])
+        assert isinstance(ctx, StepContext)
+        assert ctx.relinearized_variables == 1
+        assert ctx.relinearized_factors == 2
+        assert ctx.affected_columns >= 6
+        assert ctx.refactored_nodes == len(ctx.node_parents) > 0
+        assert ctx.backsub_nodes >= ctx.refactored_nodes
+        assert set(ctx.node_parents) <= set(engine.nodes)
+        roots = [sid for sid, parent in ctx.node_parents.items()
+                 if parent is None]
+        assert roots == [engine.node_of[engine.num_positions - 1]]
+
 
 class TestLoopClosures:
     def run_with_loops(self, n, loops, step_relin=(), **kwargs):
@@ -193,9 +213,9 @@ class TestWildfire:
                 factors.append(
                     PriorFactorSE2(9, SE2(8.5, 1.8, 0.5), NOISE))
             engine.update({i: guess}, factors)
-        info = engine.update(
+        ctx = engine.update(
             {}, [BetweenFactorSE2(2, 9, SE2(7.0, 1.5, 0.3), NOISE)])
-        fresh_positions = {p for sid in info["fresh_sids"]
+        fresh_positions = {p for sid in ctx.node_parents
                            for p in engine.nodes[sid].positions}
         assert fresh_positions.isdisjoint({0, 1})
         exact = dense_solution(engine)
@@ -236,13 +256,13 @@ class TestTraceSideChannel:
         for i in range(1, 30):
             engine.update(*odometry_step(i))
         trace = OpTrace()
-        info = engine.update(*odometry_step(30), context=StepContext(trace))
+        ctx = engine.update(*odometry_step(30), context=StepContext(trace))
         # An odometry step refactors only the root region of the tree.
-        assert info["refactored_nodes"] <= 3
+        assert ctx.refactored_nodes <= 3
         from repro.linalg.trace import OpKind
         refactored = [t for t in trace.nodes.values()
                       if any(op.kind is OpKind.POTRF for op in t.ops)]
-        assert len(refactored) == info["refactored_nodes"]
+        assert len(refactored) == ctx.refactored_nodes
 
     def test_loop_closure_touches_many_nodes(self):
         engine = IncrementalEngine(wildfire_tol=0.0, max_supernode_vars=1)
@@ -251,9 +271,9 @@ class TestTraceSideChannel:
             engine.update(*odometry_step(i))
         values, factors = odometry_step(30)
         factors.append(BetweenFactorSE2(0, 30, SE2(30.0, 0.0, 0.0), NOISE))
-        info = engine.update(values, factors)
+        ctx = engine.update(values, factors)
         # The closure reaches position 0: the whole path refactors.
-        assert info["refactored_nodes"] >= 25
+        assert ctx.refactored_nodes >= 25
         assert_delta_matches_dense(engine)
 
 

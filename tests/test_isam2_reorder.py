@@ -145,13 +145,13 @@ class TestTreeShapeValues:
         engine.update({i: SE2(float(i), 1.0, 0.0) for i in range(4)},
                       [PriorFactorSE2(i, SE2(float(i), 1.0, 0.0), NOISE)
                        for i in range(4)])
-        info = engine.update(
+        ctx = engine.update(
             {4: SE2()},
             [BetweenFactorSE2(i, 4, SE2(-float(i), -1.0, 0.0), NOISE)
              for i in range(4)])
         assert _shape(engine) == {"height": 1.0, "max_width": 4.0,
                                   "branch_nodes": 1.0, "roots": 1.0}
-        assert info["refactored_nodes"] == 5
+        assert ctx.refactored_nodes == 5
 
     def test_forest_and_step_extras(self):
         # Two unconnected chains (keys 0-2 and 10-12) are two roots; the

@@ -90,13 +90,13 @@ class TestEnginePlanReuse:
     def test_structure_unchanged_relin_hits_every_plan(self):
         engine = build_engine(n=12, closure=7)
         ctx = StepContext()
-        info = engine.update({}, [], relin_keys=[4, 5], context=ctx)
+        engine.update({}, [], relin_keys=[4, 5], context=ctx)
         # Fluid relinearization tears nodes down and rebuilds them with
         # identical structure: every refactorization reuses its plan.
-        assert info["refactored_nodes"] > 0
+        assert ctx.refactored_nodes > 0
         assert ctx.plan_misses == 0
         assert ctx.plan_compiles == 0
-        assert ctx.plan_hits == info["refactored_nodes"]
+        assert ctx.plan_hits == ctx.refactored_nodes
         engine.check_invariants()
 
     def test_structure_change_misses_then_hits(self):
@@ -110,9 +110,9 @@ class TestEnginePlanReuse:
         assert ctx.plan_misses > 0
         assert ctx.plan_compiles == ctx.plan_misses
         ctx2 = StepContext()
-        info = engine.update({}, [], relin_keys=[2, 11], context=ctx2)
+        engine.update({}, [], relin_keys=[2, 11], context=ctx2)
         assert ctx2.plan_misses == 0
-        assert ctx2.plan_hits == info["refactored_nodes"]
+        assert ctx2.plan_hits == ctx2.refactored_nodes
         engine.check_invariants()
 
     def test_counters_reach_report_extras(self):
