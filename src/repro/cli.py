@@ -22,18 +22,7 @@ import sys
 from typing import List, Optional
 
 from repro.core import RAISAM2
-from repro.datasets import (
-    cab1_dataset,
-    cab2_dataset,
-    kidnapped_robot_dataset,
-    long_term_revisit_dataset,
-    manhattan_dataset,
-    multi_robot_rendezvous_dataset,
-    read_g2o,
-    run_online,
-    sphere_dataset,
-    write_g2o,
-)
+from repro.datasets import GENERATORS, read_g2o, run_online, write_g2o
 from repro.factorgraph import FactorGraph, PriorFactorSE2, PriorFactorSE3
 from repro.factorgraph.noise import DiagonalNoise
 from repro.geometry import SE2, SE3
@@ -42,18 +31,9 @@ from repro.linalg.ordering import ordering_names
 from repro.metrics import latency_stats
 from repro.policy import controller_names, selection_names
 from repro.runtime import NodeCostModel
+from repro.serving.bench import WORKLOADS
 from repro.solvers import GaussNewton, ISAM2, IncrementalEngine, \
     LevenbergMarquardt
-
-DATASETS = {
-    "M3500": manhattan_dataset,
-    "Sphere": sphere_dataset,
-    "CAB1": cab1_dataset,
-    "CAB2": cab2_dataset,
-    "Kidnapped": kidnapped_robot_dataset,
-    "Revisit": long_term_revisit_dataset,
-    "Rendezvous": multi_robot_rendezvous_dataset,
-}
 
 #: CLI platform name -> registry platform name (see repro.hardware.registry).
 PLATFORMS = {
@@ -91,7 +71,7 @@ def _add_anchor_if_needed(values, factors) -> List:
 
 
 def cmd_generate(args) -> int:
-    data = DATASETS[args.dataset](scale=args.scale, seed=args.seed)
+    data = GENERATORS[args.dataset](scale=args.scale, seed=args.seed)
     from repro.factorgraph import Values
     values = Values()
     for key, pose in data.ground_truth.items():
@@ -167,7 +147,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    data = DATASETS[args.dataset](scale=args.scale, seed=args.seed)
+    data = GENERATORS[args.dataset](scale=args.scale, seed=args.seed)
     soc = make_platform(PLATFORMS[args.platform])
     target = args.target_ms * 1e-3
     if soc.has_accelerators:
@@ -313,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a dataset as g2o")
-    gen.add_argument("--dataset", choices=sorted(DATASETS), required=True)
+    gen.add_argument("--dataset", choices=sorted(GENERATORS), required=True)
     gen.add_argument("--scale", type=float, default=0.1)
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("output")
@@ -341,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate",
                          help="latency simulation on a platform model")
-    sim.add_argument("--dataset", choices=sorted(DATASETS), required=True)
+    sim.add_argument("--dataset", choices=sorted(GENERATORS), required=True)
     sim.add_argument("--scale", type=float, default=0.1)
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--platform", choices=sorted(PLATFORMS),
@@ -368,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "autotune",
         help="design-space sweep over a recorded workload's traces")
-    tune.add_argument("--dataset", choices=sorted(DATASETS),
+    tune.add_argument("--dataset", choices=sorted(GENERATORS),
                       default="CAB2",
                       help="workload (scaled like the benchmark suite; "
                            "set REPRO_SCALE/REPRO_FULL to change)")
@@ -400,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sessions", type=int, default=8)
     serve.add_argument("--steps", type=int, default=25,
                        help="trajectory steps per session")
-    serve.add_argument("--workload", default="chain",
-                       choices=("chain", "kidnapped", "revisit",
-                                "rendezvous"),
+    serve.add_argument("--workload", default="chain", choices=WORKLOADS,
                        help="benign shared-topology chain or an "
                             "adversarial generator from "
                             "repro.datasets.adversarial")

@@ -33,12 +33,13 @@ from repro.instrumentation import StepContext
 from repro.policy import (
     BudgetController,
     SelectionContext,
+    SelectionPlan,
     SelectionPolicy,
     make_budget_controller,
     make_selection_policy,
 )
 from repro.runtime.cost_model import NodeCostModel
-from repro.solvers.base import SelectionPlan, StepReport
+from repro.solvers.base import StepReport
 from repro.solvers.isam2 import IncrementalSolver
 
 
@@ -155,13 +156,11 @@ class RAISAM2(IncrementalSolver):
 
         # Greedy selection, ranked and admitted by the configured policy.
         candidates = relevance_scores(self.engine, self.score_floor)
-        outcome = self.selection_policy.select(SelectionContext(
+        plan = self.selection_policy.select(SelectionContext(
             engine=self.engine, candidates=candidates,
             estimator=estimator, budget=budget, nominal=nominal,
             energy_of=self._estimate_energy, charged=mandatory))
-        return SelectionPlan(outcome.selected, outcome.deferred,
-                             outcome.shed, outcome.charged,
-                             estimator.visits)
+        return plan._replace(visits=estimator.visits)
 
     def observe_report(self, report: StepReport) -> None:
         """Feed the budget controller one completed step's signals.

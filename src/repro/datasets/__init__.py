@@ -17,7 +17,6 @@ All generators are seeded and reproduce the published step/edge counts at
 
 from repro.datasets.pose_graph import PoseGraphDataset, TimeStep
 from repro.datasets.adversarial import (
-    ADVERSARIAL_WORKLOADS,
     kidnapped_robot_dataset,
     long_term_revisit_dataset,
     multi_robot_rendezvous_dataset,
@@ -29,10 +28,21 @@ from repro.datasets.euroc_like import FrontendModel, euroc_like_dataset
 from repro.datasets.g2o import read_g2o, write_g2o
 from repro.datasets.streaming import run_online, OnlineRun
 
+#: Every named generator (CLI ``--dataset``, experiment harnesses).
+GENERATORS = {
+    "M3500": manhattan_dataset,
+    "Sphere": sphere_dataset,
+    "CAB1": cab1_dataset,
+    "CAB2": cab2_dataset,
+    "Kidnapped": kidnapped_robot_dataset,
+    "Revisit": long_term_revisit_dataset,
+    "Rendezvous": multi_robot_rendezvous_dataset,
+}
+
 __all__ = [
     "PoseGraphDataset",
     "TimeStep",
-    "ADVERSARIAL_WORKLOADS",
+    "GENERATORS",
     "kidnapped_robot_dataset",
     "long_term_revisit_dataset",
     "multi_robot_rendezvous_dataset",

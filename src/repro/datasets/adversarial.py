@@ -31,7 +31,7 @@ through every solver, the serving benchmark (``repro serve-bench
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -260,11 +260,3 @@ def multi_robot_rendezvous_dataset(scale: float = 1.0, seed: int = 31,
     return PoseGraphDataset(
         name="MultiRobotRendezvous", steps=steps,
         ground_truth=truth, is_3d=False)
-
-
-#: Named adversarial generators (serve-bench ``--workload``, ablations).
-ADVERSARIAL_WORKLOADS = {
-    "kidnapped": kidnapped_robot_dataset,
-    "revisit": long_term_revisit_dataset,
-    "rendezvous": multi_robot_rendezvous_dataset,
-}

@@ -20,17 +20,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.core import RAISAM2
-from repro.datasets import (
-    OnlineRun,
-    cab1_dataset,
-    cab2_dataset,
-    kidnapped_robot_dataset,
-    long_term_revisit_dataset,
-    manhattan_dataset,
-    multi_robot_rendezvous_dataset,
-    run_online,
-    sphere_dataset,
-)
+from repro.datasets import GENERATORS, OnlineRun, run_online
 from repro.datasets.pose_graph import PoseGraphDataset
 from repro.hardware.registry import make_platform
 from repro.pipeline import BackendPipeline, SnapshotStage
@@ -59,16 +49,6 @@ _DEFAULT_SCALES = {
     "Rendezvous": 0.25,
 }
 
-_FACTORIES = {
-    "M3500": manhattan_dataset,
-    "Sphere": sphere_dataset,
-    "CAB1": cab1_dataset,
-    "CAB2": cab2_dataset,
-    "Kidnapped": kidnapped_robot_dataset,
-    "Revisit": long_term_revisit_dataset,
-    "Rendezvous": multi_robot_rendezvous_dataset,
-}
-
 
 def dataset_scale(name: str) -> float:
     if os.environ.get("REPRO_FULL") == "1":
@@ -90,7 +70,7 @@ def target_for(name: str) -> float:
 @lru_cache(maxsize=None)
 def dataset(name: str) -> PoseGraphDataset:
     """Build (and cache) a dataset at its configured scale."""
-    return _FACTORIES[name](scale=dataset_scale(name))
+    return GENERATORS[name](scale=dataset_scale(name))
 
 
 @lru_cache(maxsize=None)

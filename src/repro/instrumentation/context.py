@@ -9,7 +9,8 @@ from repro.linalg.parallel import LevelStats, wall_speedup
 from repro.linalg.trace import NodeTrace, OpTrace
 
 if TYPE_CHECKING:  # solvers.base imports stay lazy: solvers import us
-    from repro.solvers.base import ParentMap, SelectionPlan, StepReport
+    from repro.policy.selection import SelectionPlan
+    from repro.solvers.base import ParentMap, StepReport
 
 #: Counters published to the report's extras under their own names.
 _EXTRAS_COUNTERS = ("backsub_nodes", "lin_seconds", "lin_batched_factors",

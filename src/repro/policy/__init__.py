@@ -33,7 +33,7 @@ from repro.policy.selection import (
     RandomSelection,
     RelevanceSelection,
     SelectionContext,
-    SelectionOutcome,
+    SelectionPlan,
     SelectionPolicy,
     make_selection_policy,
     register_selection_policy,
@@ -52,7 +52,7 @@ __all__ = [
     "RelevanceSelection",
     "SELECTION_POLICIES",
     "SelectionContext",
-    "SelectionOutcome",
+    "SelectionPlan",
     "SelectionPolicy",
     "SlamBoosterController",
     "controller_names",

@@ -73,13 +73,21 @@ class SelectionContext(NamedTuple):
     charged: float = 0.0
 
 
-class SelectionOutcome(NamedTuple):
-    """Result of one budgeted selection pass."""
+class SelectionPlan(NamedTuple):
+    """Outcome of one step's relinearization-selection pass.
+
+    ``shed`` counts variables the *nominal* (unscaled) selection would
+    have relinearized but the overload-scaled one did not — the fleet's
+    graceful-degradation metric, zero whenever ``budget_scale >= 1``.
+    ``deferred``, ``charged`` and ``visits`` are the RA-ISAM2 budget's
+    bookkeeping (zero for plain ISAM2).
+    """
 
     selected: List[Key]
-    deferred: int
-    shed: int
-    charged: float
+    deferred: int = 0
+    shed: int = 0
+    charged: float = 0.0
+    visits: int = 0
 
 
 class SelectionPolicy:
@@ -100,7 +108,7 @@ class SelectionPolicy:
         """Order the candidates; most attractive first."""
         raise NotImplementedError
 
-    def select(self, ctx: SelectionContext) -> SelectionOutcome:
+    def select(self, ctx: SelectionContext) -> SelectionPlan:
         """Greedy admission over :meth:`rank`'s order.
 
         Charge for charge the historical loop: one ``relin_cost`` /
@@ -128,7 +136,7 @@ class SelectionPolicy:
                 charged += cost
             else:
                 deferred += 1
-        return SelectionOutcome(selected, deferred, shed, charged)
+        return SelectionPlan(selected, deferred, shed, charged)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

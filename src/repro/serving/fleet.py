@@ -55,8 +55,9 @@ from repro.linalg.parallel import (
 )
 from repro.linalg.plan import PlanCache
 from repro.linalg.trace import OpTrace
+from repro.policy.selection import SelectionPlan
 from repro.serving.admission import OverloadController
-from repro.solvers.base import SelectionPlan, StepReport
+from repro.solvers.base import StepReport
 from repro.solvers.batch_linearize import (
     LinearizeRequest,
     LinearizeResult,

@@ -15,6 +15,8 @@ that is *partially* updated at each step (paper Section 3.4):
 Because factors are only ever added (no removal in ISAM2), the block
 structure grows monotonically: elimination-tree parents never change once
 assigned, which keeps incremental symbolic factorization simple and exact.
+The engine keeps one :class:`~repro.linalg.symbolic.ColumnStructure` and
+resolves, amalgamates and summarizes it with the batch analysis's code.
 
 Ordering policy: the default ``chronological`` mode is exactly the above.
 ``constrained_colamd`` additionally performs *periodic incremental
@@ -53,7 +55,6 @@ rebuild reuses every plan wholesale instead of re-deriving
 
 from __future__ import annotations
 
-import heapq
 import time
 from typing import (
     Callable,
@@ -91,9 +92,14 @@ from repro.linalg.plan import (
     reindexed_plan,
     tree_solve,
 )
+from repro.linalg.symbolic import ColumnStructure, depth_levels, tree_shape
 from repro.linalg.trace import OpKind
-from repro.policy.selection import SelectionContext, make_selection_policy
-from repro.solvers.base import SelectionPlan, StepReport
+from repro.policy.selection import (
+    SelectionContext,
+    SelectionPlan,
+    make_selection_policy,
+)
+from repro.solvers.base import StepReport
 from repro.solvers.batch_linearize import (
     LinearizeRequest,
     LinearizeResult,
@@ -137,13 +143,6 @@ class _Node:
         self.pattern_arr: Optional[np.ndarray] = None
         self.positions_arr: Optional[np.ndarray] = None
         self.pos_starts: Optional[np.ndarray] = None
-
-
-def _level_extent(levels: List[List[_Node]]) -> Tuple[float, float]:
-    """(height, max width) of a tree's depth levels; zeros when empty."""
-    if not levels:
-        return 0.0, 0.0
-    return float(len(levels) - 1), float(max(map(len, levels)))
 
 
 class IncrementalEngine:
@@ -203,12 +202,7 @@ class IncrementalEngine:
         self.graph = FactorGraph()
 
         self._lin: Dict[int, FactorContribution] = {}
-        self._a_struct: List[Set[int]] = []
-        self._col_struct: List[List[int]] = []
-        self._col_fill: List[int] = []
-        self._fill_total = 0
-        self._parent: List[int] = []
-        self._children_pos: Dict[int, List[int]] = {}
+        self.structure = ColumnStructure()
         self._factors_at: Dict[int, List[int]] = {}
         # Per head position: running fold of the assembled factors'
         # (index, positions, residual_dim) hashes, maintained at
@@ -360,11 +354,7 @@ class IncrementalEngine:
             self.dims.append(value.dim)
             self.theta.insert(key, value)
             self.delta.append_block(value.dim)
-            self._a_struct.append(set())
-            self._col_struct.append([])
-            self._col_fill.append(value.dim * (value.dim + 1) // 2)
-            self._fill_total += self._col_fill[-1]
-            self._parent.append(-1)
+            self.structure.add_column(value.dim)
             self._gradient.append_block(value.dim)
             self._carry.append_block(value.dim)
             self.node_of.append(-1)
@@ -380,8 +370,7 @@ class IncrementalEngine:
         for factor in new_factors:
             index = self.graph.add(factor)
             positions = sorted(self.pos_of[k] for k in factor.keys)
-            if len(positions) > 1:
-                self._a_struct[positions[0]].update(positions[1:])
+            self.structure.add_clique(positions)
             self._factors_at.setdefault(positions[0], []).append(index)
             affected.update(positions)
             indices.append(index)
@@ -438,42 +427,6 @@ class IncrementalEngine:
             sign)
 
     # ------------------------------------------------------------------
-    # phase D: incremental symbolic factorization
-    # ------------------------------------------------------------------
-
-    def _resolve_structure(self, seeds: Set[int]) -> Set[int]:
-        """Recompute column structures for the ancestor closure of seeds."""
-        heap = list(seeds)
-        heapq.heapify(heap)
-        resolved: Set[int] = set()
-        while heap:
-            j = heapq.heappop(heap)
-            if j in resolved:
-                continue
-            resolved.add(j)
-            struct = set(self._a_struct[j])
-            for child in self._children_pos.get(j, ()):
-                struct.update(self._col_struct[child])
-            struct.discard(j)
-            self._col_struct[j] = sorted(struct)
-            dj = self.dims[j]
-            fill = dj * (dj + 1) // 2 + dj * sum(
-                self.dims[q] for q in struct)
-            self._fill_total += fill - self._col_fill[j]
-            self._col_fill[j] = fill
-            if struct:
-                new_parent = self._col_struct[j][0]
-                if self._parent[j] == -1:
-                    self._parent[j] = new_parent
-                    self._children_pos.setdefault(new_parent, []).append(j)
-                elif self._parent[j] != new_parent:
-                    # Monotone growth guarantees this never happens.
-                    raise AssertionError(
-                        "elimination parent changed under pure additions")
-                heapq.heappush(heap, self._parent[j])
-        return resolved
-
-    # ------------------------------------------------------------------
     # incremental re-ordering (constrained_colamd only)
     # ------------------------------------------------------------------
 
@@ -505,7 +458,8 @@ class IncrementalEngine:
             if len(positions) > 1 and positions[0] >= start:
                 cliques.append([p - start for p in positions])
         for j in range(start):
-            reach = [q - start for q in self._col_struct[j] if q >= start]
+            reach = [q - start for q in self.structure.col_struct[j]
+                     if q >= start]
             if len(reach) > 1:
                 cliques.append(reach)
         groups = [0] * m
@@ -556,58 +510,36 @@ class IncrementalEngine:
         # contribution may flip, which block-permutes its Hessian.
         for contrib in self._lin.values():
             self._permute_contribution(contrib, perm, old_dims)
-        # (4) Rebuild factor seeding wholesale (ascending graph index, so
-        # assembly order — and float accumulation — is deterministic).
-        # The per-position signature fragments are refolded in the same
-        # order, against the permuted factor positions.
-        self._a_struct = [set() for _ in range(n)]
+        # (4) Relabel the column structure, then re-seed every clique
+        # wholesale (ascending graph index, so assembly order — and
+        # float accumulation — is deterministic).  The per-position
+        # signature fragments are refolded in the same order, against
+        # the permuted factor positions.
+        self.structure.relabel(perm, start)
         self._factors_at = {}
         self._fsig_at = {}
         for index in sorted(self._lin):
             contrib = self._lin[index]
             positions = contrib.positions
             head = positions[0]
-            if len(positions) > 1:
-                self._a_struct[head].update(positions[1:])
+            self.structure.add_clique(positions)
             self._factors_at.setdefault(head, []).append(index)
             self._fsig_at[head] = fold_hash(
                 self._fsig_at.get(head, 0),
                 hash((index, tuple(positions), contrib.residual_dim)))
-        # (5) Prefix column structures survive as variable sets — only
-        # suffix labels move; suffix columns are recomputed from scratch
-        # by _resolve_structure (their parents reset to -1 keeps the
-        # monotone-growth invariant silent).  Per-column fill rides the
-        # permutation (a relabeling preserves each column's dims).
-        old_struct = self._col_struct
-        old_fill = self._col_fill
-        new_fill = [0] * n
-        for p in range(n):
-            new_fill[int(perm[p])] = old_fill[p]
-        self._col_fill = new_fill
-        new_struct: List[List[int]] = [[] for _ in range(n)]
-        for j in range(start):
-            new_struct[j] = sorted(int(perm[q]) for q in old_struct[j])
-        self._col_struct = new_struct
-        self._parent = [-1] * n
-        self._children_pos = {}
-        for j in range(start):
-            struct = new_struct[j]
-            if struct:
-                self._parent[j] = struct[0]
-                self._children_pos.setdefault(struct[0], []).append(j)
-        # (6) Permute node ownership.
+        # (5) Permute node ownership.
         old_node_of = self.node_of
         new_node_of = [-1] * n
         for p in range(n):
             new_node_of[int(perm[p])] = old_node_of[p]
         self.node_of = new_node_of
-        # (7) Survivor nodes whose pattern reaches into the suffix keep
+        # (6) Survivor nodes whose pattern reaches into the suffix keep
         # their numeric factors but need relabeled, re-sorted patterns
         # (permuting the cached L_B rows / C columns with them) and fresh
         # state indices over the moved offsets.
         for node in self.nodes.values():
             self._permute_node_pattern(node, perm, old_dims, start)
-        # (8) Cached plans may hold frontal indices compiled against the
+        # (7) Cached plans may hold frontal indices compiled against the
         # old labels under signatures that could collide with post-reorder
         # structures; drop them all — the next touch recompiles.
         self._plans.clear()
@@ -655,24 +587,10 @@ class IncrementalEngine:
                                    node.pattern_arr)
 
     def tree_shape(self) -> Dict[str, float]:
-        """Shape of the live supernodal tree (cheap, O(#nodes) + O(1)
-        fill readout): height, max per-depth width, branch nodes, roots,
-        and scalar fill nnz of L."""
-        levels = self._depth_levels()
-        height, max_width = _level_extent(levels)
-        children: Dict[int, int] = {}
-        for node in self.nodes.values():
-            parent = self.parent_sid(node)
-            if parent is not None:
-                children[parent] = children.get(parent, 0) + 1
-        return {
-            "supernodes": float(len(self.nodes)),
-            "height": height,
-            "max_width": max_width,
-            "branch_nodes": float(sum(1 for c in children.values() if c > 1)),
-            "roots": float(len(levels[0])) if levels else 0.0,
-            "fill_nnz": float(self._fill_total),
-        }
+        """:func:`~repro.linalg.symbolic.tree_shape` of the live
+        supernodal tree (O(#nodes); fill is kept up to date)."""
+        return tree_shape(self._depth_levels(), self.parent_sid,
+                          self.structure.fill_nnz)
 
     def _depth_levels(self) -> List[List[_Node]]:
         """Live supernodes bucketed by tree depth, roots first.
@@ -682,17 +600,9 @@ class IncrementalEngine:
         above its child's last position, so every parent is visited
         (and has its depth) before its children.
         """
-        depth: Dict[int, int] = {}
-        levels: List[List[_Node]] = []
-        for node in sorted(self.nodes.values(),
-                           key=lambda nd: -nd.positions[-1]):
-            parent = self.parent_sid(node)
-            d = depth[parent] + 1 if parent is not None else 0
-            depth[node.sid] = d
-            if len(levels) <= d:
-                levels.append([])
-            levels[d].append(node)
-        return levels
+        return depth_levels(sorted(self.nodes.values(),
+                                   key=lambda nd: -nd.positions[-1]),
+                            self.parent_sid)
 
     # ------------------------------------------------------------------
     # phase E/F: supernode rebuild over the affected region
@@ -713,27 +623,14 @@ class IncrementalEngine:
                 self.node_of[p] = -1
 
         fresh: List[int] = []
-        current: Optional[_Node] = None
-        for j in sorted(full):
-            merge = False
-            if (current is not None and current.positions[-1] == j - 1
-                    and self._parent[j - 1] == j
-                    and len(current.positions) < self.max_supernode_vars):
-                carried = set(current.pattern)
-                carried.discard(j)
-                fill = len(set(self._col_struct[j]) - carried)
-                if fill <= self.relax_fill:
-                    merge = True
-            if merge:
-                current.positions.append(j)
-                current.pattern = list(self._col_struct[j])
-            else:
-                current = _Node(self._next_sid, [j],
-                                list(self._col_struct[j]))
-                self._next_sid += 1
-                self.nodes[current.sid] = current
-                fresh.append(current.sid)
-            self.node_of[j] = current.sid
+        for cols, pattern in self.structure.amalgamate(
+                sorted(full), self.max_supernode_vars, self.relax_fill):
+            node = _Node(self._next_sid, cols, pattern)
+            self._next_sid += 1
+            self.nodes[node.sid] = node
+            fresh.append(node.sid)
+            for p in cols:
+                self.node_of[p] = node.sid
         return fresh
 
     # ------------------------------------------------------------------
@@ -744,7 +641,7 @@ class IncrementalEngine:
         seen: Set[int] = set()
         out: List[_Node] = []
         for p in node.positions:
-            for child_pos in self._children_pos.get(p, ()):
+            for child_pos in self.structure.children.get(p, ()):
                 sid = self.node_of[child_pos]
                 if sid != node.sid and sid not in seen:
                     seen.add(sid)
@@ -972,9 +869,9 @@ class IncrementalEngine:
         fill = 0
         for j in range(self.num_positions):
             dj = self.dims[j]
-            below = sum(self.dims[q] for q in self._col_struct[j])
+            below = sum(self.dims[q] for q in self.structure.col_struct[j])
             fill += dj * (dj + 1) // 2 + below * dj
-        assert fill == self._fill_total
+        assert fill == self.structure.fill_nnz
         for head, indices in self._factors_at.items():
             expect = 0
             for index in indices:
@@ -1099,7 +996,7 @@ class PendingStep:
                 >= engine.reorder_min_suffix):
             affected = engine._reorder_suffix(affected)
             engine._steps_since_reorder = 0
-        self.sym_affected = engine._resolve_structure(affected)
+        self.sym_affected = engine.structure.resolve(affected, engine.dims)
         self.fresh = engine._rebuild_supernodes(self.sym_affected)
 
     def refactorize(self) -> None:
@@ -1117,10 +1014,10 @@ class PendingStep:
         ctx.affected_columns += len(self.sym_affected)
         ctx.refactored_nodes += len(self.fresh)
         ctx.node_parents = engine.node_parents(self.fresh)
-        height, max_width = _level_extent(levels)
-        ctx.extras["tree_height"] = height
-        ctx.extras["tree_max_width"] = max_width
-        ctx.extras["tree_fill_nnz"] = float(engine._fill_total)
+        shape = tree_shape(levels, engine.parent_sid,
+                           engine.structure.fill_nnz)
+        for key in ("height", "max_width", "fill_nnz"):
+            ctx.extras[f"tree_{key}"] = shape[key]
         return ctx
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import RAISAM2
 from repro.datasets import (
-    ADVERSARIAL_WORKLOADS,
+    GENERATORS,
     kidnapped_robot_dataset,
     long_term_revisit_dataset,
     multi_robot_rendezvous_dataset,
@@ -65,9 +65,10 @@ def test_rendezvous_merges_two_anchored_components():
     assert first_inter_step > data.num_steps // 3
 
 
-@pytest.mark.parametrize("name", sorted(ADVERSARIAL_WORKLOADS))
+@pytest.mark.parametrize("name", ["Kidnapped", "Rendezvous", "Revisit"],
+                         ids=str.lower)
 def test_adversarial_through_ra_isam2(name):
-    data = ADVERSARIAL_WORKLOADS[name](scale=0.2)
+    data = GENERATORS[name](scale=0.2)
     soc = make_platform("SuperNoVA1S")
     solver = RAISAM2(NodeCostModel(soc), target_seconds=1e-4)
     deferred = 0
@@ -112,8 +113,9 @@ def test_degraded_fleet_runs_adversarial_workload():
     non-default selection policy driving the shedding cut."""
     from repro.serving import FleetConfig, run_fleet
     workloads = named_fleet_workload("kidnapped", 3, 30)
-    factory = lambda: ISAM2(relin_threshold=0.01,
-                            selection_policy="fifo")
+    def factory():
+        return ISAM2(relin_threshold=0.01, selection_policy="fifo")
+
     config = FleetConfig(target_seconds=1e-9)  # everything overloads
     result, fleet = run_fleet(workloads, factory, config)
     assert result.steps_completed == 90

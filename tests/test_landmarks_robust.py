@@ -320,7 +320,8 @@ class TestNestedDissection:
             [sorted((pos[a], pos[b])) for a, b in factors])
         natural = SymbolicFactorization(
             [1] * len(keys), [sorted(f) for f in factors])
-        assert symbolic.tree_height() < natural.tree_height()
+        assert (symbolic.tree_stats()["height"]
+                < natural.tree_stats()["height"])
 
     def test_disconnected_graph(self):
         from repro.linalg.ordering import nested_dissection_order

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg.ordering import chronological_order, minimum_degree_order
-from repro.linalg.symbolic import (
-    SymbolicFactorization,
-    ancestors_of,
-    compute_column_structure,
-    form_supernodes,
-)
+from repro.linalg.symbolic import SymbolicFactorization, ancestors_of
 
 
 def chain_factors(n):
@@ -20,15 +15,21 @@ def chain_factors(n):
     return factors
 
 
+def column_structure(n, factors):
+    """Column structures and etree parents of n unit-dim variables."""
+    structure = SymbolicFactorization([1] * n, factors).structure
+    return structure.col_struct, structure.parent
+
+
 class TestColumnStructure:
     def test_chain_structure(self):
-        struct, parent = compute_column_structure(4, chain_factors(4))
+        struct, parent = column_structure(4, chain_factors(4))
         assert struct == [[1], [2], [3], []]
         assert parent == [1, 2, 3, -1]
 
     def test_loop_closure_adds_path_fill(self):
         factors = chain_factors(5) + [(0, 4)]
-        struct, parent = compute_column_structure(5, factors)
+        struct, parent = column_structure(5, factors)
         # Column 0 now reaches row 4; fill propagates along the path.
         assert struct[0] == [1, 4]
         assert 4 in struct[1]
@@ -36,34 +37,42 @@ class TestColumnStructure:
         assert 4 in struct[3]
 
     def test_disconnected_components(self):
-        struct, parent = compute_column_structure(4, [(0, 1), (2, 3)])
+        struct, parent = column_structure(4, [(0, 1), (2, 3)])
         assert parent == [1, -1, 3, -1]
 
     def test_unary_factor_adds_no_structure(self):
-        struct, _ = compute_column_structure(2, [(0,), (1,), (0, 1)])
+        struct, _ = column_structure(2, [(0,), (1,), (0, 1)])
         assert struct == [[1], []]
 
     def test_clique_factor(self):
-        struct, _ = compute_column_structure(3, [(0, 1, 2)])
+        struct, _ = column_structure(3, [(0, 1, 2)])
         assert struct[0] == [1, 2]
         assert struct[1] == [2]  # propagated via elimination
 
     def test_ancestors_of(self):
-        _, parent = compute_column_structure(5, chain_factors(5))
+        _, parent = column_structure(5, chain_factors(5))
         assert ancestors_of(parent, 1) == [2, 3, 4]
         assert ancestors_of(parent, 4) == []
 
 
 class TestSupernodes:
     def test_chain_amalgamates(self):
-        struct, parent = compute_column_structure(6, chain_factors(6))
-        nodes, node_of = form_supernodes(struct, parent,
+        symbolic = SymbolicFactorization([1] * 6, chain_factors(6),
                                          max_supernode_vars=3)
+        nodes, node_of = symbolic.supernodes, symbolic.node_of
         # Chain columns have strictly nested patterns -> merge in runs of 3.
         assert [n.positions for n in nodes] == [[0, 1, 2], [3, 4, 5]]
         assert nodes[0].parent == 1
         assert nodes[1].children == [0]
         assert node_of == [0, 0, 0, 1, 1, 1]
+
+    def test_amalgamate_never_bridges_a_gap(self):
+        # A partial rebuild passes only some positions; runs never
+        # span a position left out.
+        structure = SymbolicFactorization([1] * 6,
+                                          chain_factors(6)).structure
+        runs = list(structure.amalgamate([0, 1, 3, 4, 5], 8, 1))
+        assert runs == [([0, 1], [2]), ([3, 4, 5], [])]
 
     def test_positions_partition_and_are_consecutive(self):
         factors = chain_factors(10) + [(1, 7), (3, 9), (0, 5)]
@@ -112,7 +121,7 @@ class TestSupernodes:
     def test_tree_height_chain(self):
         symbolic = SymbolicFactorization(
             [1] * 8, chain_factors(8), max_supernode_vars=1)
-        assert symbolic.tree_height() == 7
+        assert symbolic.tree_stats()["height"] == 7.0
 
     def test_roots(self):
         symbolic = SymbolicFactorization([1] * 4, [(0, 1), (2, 3)])

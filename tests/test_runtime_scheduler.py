@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import make_platform
-from repro.linalg.trace import NodeTrace, Op, OpKind, OpTrace
+from repro.linalg.trace import NodeTrace, OpKind, OpTrace
 from repro.runtime import (
     NodeCostModel,
     RuntimeFeatures,
